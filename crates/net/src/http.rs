@@ -61,6 +61,12 @@ impl Status {
     pub const FORBIDDEN: Status = Status(403);
     /// 404
     pub const NOT_FOUND: Status = Status(404);
+    /// 408
+    pub const REQUEST_TIMEOUT: Status = Status(408);
+    /// 413
+    pub const PAYLOAD_TOO_LARGE: Status = Status(413);
+    /// 431
+    pub const REQUEST_HEADER_FIELDS_TOO_LARGE: Status = Status(431);
     /// 500
     pub const INTERNAL_SERVER_ERROR: Status = Status(500);
     /// 502
@@ -90,6 +96,9 @@ impl Status {
             401 => "Unauthorized",
             403 => "Forbidden",
             404 => "Not Found",
+            408 => "Request Timeout",
+            413 => "Payload Too Large",
+            431 => "Request Header Fields Too Large",
             500 => "Internal Server Error",
             502 => "Bad Gateway",
             503 => "Service Unavailable",

@@ -8,6 +8,10 @@
 //! `503 Service Unavailable` with `x-msite-error: overloaded` and
 //! `retry-after: 1` and closes, so overload is an explicit, counted,
 //! client-visible signal rather than unbounded thread growth.
+//!
+//! The accept loop blocks in `accept()` and so wakes the moment a
+//! connection arrives. [`HttpServer::shutdown`] and `Drop` wake it by
+//! connecting to the listener themselves.
 
 use crate::http::{Headers, Method, Request, Response, Status};
 use crate::origin::OriginRef;
@@ -19,12 +23,33 @@ use msite_support::telemetry::{
     TRACE_HEADER,
 };
 use msite_support::thread::{PoolConfig, WorkerPool};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Largest request head (request line and header lines) a worker reads
+/// before answering `431`.
+const MAX_HEAD_BYTES: usize = 64 * 1024;
+
+/// Most header lines a request head may carry before `431`.
+const MAX_HEADER_LINES: usize = 128;
+
+/// Time a client has, from a worker taking its connection, to deliver
+/// the whole request head before `408`.
+const HEAD_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Largest `content-length` accepted; a larger one gets `413`.
+const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+
+/// Per-read timeout while reading a request body.
+const BODY_READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Pause after a failed `accept()` (e.g. out of file descriptors), so a
+/// persistent error cannot spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Response header carrying the machine-readable failure reason on a
 /// shed connection (same header the proxy's error taxonomy uses).
@@ -104,9 +129,12 @@ struct ServerShared {
     /// runtime by a health monitor; always clamped to the hard bound.
     shed_threshold: Arc<AtomicUsize>,
     accepted: Arc<Counter>,
+    accept_errors: Arc<Counter>,
     served: Arc<Counter>,
     rejected_overload: Arc<Counter>,
     worker_panics: Arc<Counter>,
+    /// `msite_limits_hit_total{limit}`, indexed by [`Limit`].
+    limits_hit: [Arc<Counter>; 4],
     queue_len: Arc<Gauge>,
     queue_wait: Arc<Histogram>,
     trace_log: Arc<TraceLog>,
@@ -180,7 +208,6 @@ impl HttpServer {
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let registry = &telemetry.metrics;
         registry
             .gauge("msite_server_queue_depth", &[])
@@ -192,9 +219,13 @@ impl HttpServer {
             stop: AtomicBool::new(false),
             shed_threshold: Arc::new(AtomicUsize::new(config.queue_depth.max(1))),
             accepted: registry.counter("msite_server_accepted_total", &[]),
+            accept_errors: registry.counter("msite_server_accept_errors_total", &[]),
             served: registry.counter("msite_server_served_total", &[]),
             rejected_overload: registry.counter("msite_server_rejected_overload_total", &[]),
             worker_panics: registry.counter("msite_server_worker_panics_total", &[]),
+            limits_hit: Limit::ALL.map(|limit| {
+                registry.counter("msite_limits_hit_total", &[("limit", limit.label())])
+            }),
             queue_len: registry.gauge("msite_server_queue_len", &[]),
             queue_wait: registry.histogram(
                 "msite_server_queue_wait_micros",
@@ -264,21 +295,44 @@ impl HttpServer {
     /// Stops the accept loop, drains in-flight connections, and joins
     /// the server thread and its worker pool.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.lock().take() {
+        if let Some(handle) = self.stop_accepting() {
             let _ = handle.join();
         }
         self.pool.shutdown();
+    }
+
+    /// Sets `stop` and, the first time, wakes the accept loop out of
+    /// `accept()` by connecting to the listener. Returns the accept
+    /// thread, or `None` once it has been taken.
+    fn stop_accepting(&self) -> Option<JoinHandle<()>> {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        let handle = self.handle.lock().take()?;
+        // The listener stays open until the loop has seen `stop`, so
+        // this reaches our own socket, never a later holder of the port.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1));
+        Some(handle)
     }
 }
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Non-blocking accept loop notices within its poll interval; do
-        // not join in drop to keep destructors non-blocking (C-DTOR-BLOCK:
-        // call `shutdown` for a clean join).
+        // Wake but do not join, to keep destructors non-blocking
+        // (C-DTOR-BLOCK: call `shutdown` for a clean join).
+        drop(self.stop_accepting());
     }
+}
+
+/// The address that reaches a listener bound to `bound`: loopback in
+/// place of an unspecified address (`0.0.0.0` or `::`).
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 fn accept_loop(
@@ -287,53 +341,61 @@ fn accept_loop(
     shared: Arc<ServerShared>,
     pool: Arc<WorkerPool>,
 ) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                shared.accepted.inc();
-                // This loop is the pool's only submitter and workers only
-                // ever drain the queue, so the check below cannot race:
-                // a connection admitted here is guaranteed a queue slot.
-                let threshold = shared
-                    .shed_threshold
-                    .load(Ordering::Relaxed)
-                    .clamp(1, pool.queue_depth());
-                if pool.queued() >= threshold {
-                    shed(&stream, &shared);
-                    shared.queue_len.set(pool.queued() as i64);
-                    continue;
-                }
-                let origin = Arc::clone(&origin);
-                let job_shared = Arc::clone(&shared);
-                let job_pool = Arc::clone(&pool);
-                let submitted = Instant::now();
-                if pool
-                    .try_execute(move || {
-                        let queue_wait = submitted.elapsed();
-                        job_shared.queue_wait.observe(queue_wait.as_micros() as u64);
-                        job_shared.queue_len.set(job_pool.queued() as i64);
-                        let probe = PanicProbe {
-                            counter: Arc::clone(&job_shared.worker_panics),
-                            armed: true,
-                        };
-                        let _ = handle_connection(stream, &origin, &job_shared, queue_wait);
-                        probe.disarm();
-                    })
-                    .is_err()
-                {
-                    // Only reachable when the pool is already shutting
-                    // down; the connection is dropped unanswered.
-                    shared.rejected_overload.inc();
-                }
-                shared.queue_len.set(pool.queued() as i64);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+    loop {
+        let accepted = listener.accept();
+        // Whatever woke us after `stop` — the wake connection or a
+        // client racing it — is dropped unanswered.
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
         }
+        let stream = match accepted {
+            Ok((stream, _)) => stream,
+            Err(_) => {
+                shared.accept_errors.inc();
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
+            }
+        };
+        shared.accepted.inc();
+        // This loop is the pool's only submitter and workers only ever
+        // drain the queue, so the check below cannot race: a connection
+        // admitted here is guaranteed a queue slot.
+        let threshold = shared
+            .shed_threshold
+            .load(Ordering::Relaxed)
+            .clamp(1, pool.queue_depth());
+        if pool.queued() >= threshold {
+            shed(&stream, &shared);
+            shared.queue_len.set(pool.queued() as i64);
+            continue;
+        }
+        let origin = Arc::clone(&origin);
+        let job_shared = Arc::clone(&shared);
+        let job_pool = Arc::clone(&pool);
+        let submitted = Instant::now();
+        if pool
+            .try_execute(move || {
+                let queue_wait = submitted.elapsed();
+                job_shared.queue_wait.observe(queue_wait.as_micros() as u64);
+                job_shared.queue_len.set(job_pool.queued() as i64);
+                let probe = PanicProbe {
+                    counter: Arc::clone(&job_shared.worker_panics),
+                    armed: true,
+                };
+                let _ = handle_connection(stream, &origin, &job_shared, queue_wait);
+                probe.disarm();
+            })
+            .is_err()
+        {
+            // Only reachable when the pool is already shutting down; the
+            // connection is dropped unanswered.
+            shared.rejected_overload.inc();
+        }
+        shared.queue_len.set(pool.queued() as i64);
     }
-    // Draining shutdown: queued connections are still answered.
+    // Release the port, then drain: queued connections are still
+    // answered.
+    drop(listener);
     pool.shutdown();
 }
 
@@ -357,17 +419,22 @@ fn handle_connection(
     shared: &ServerShared,
     queue_wait: Duration,
 ) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    let deadline = Instant::now() + HEAD_DEADLINE;
     stream.set_nodelay(true)?;
     let peer = stream.peer_addr()?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let request = match read_request(&mut reader, peer) {
+    let request = match read_request(&mut reader, peer, deadline) {
         Ok(r) => r,
-        Err(_) => {
-            write_response(
-                &stream,
-                &Response::error(Status::BAD_REQUEST, "malformed request"),
-            )?;
+        Err(refusal) => {
+            let response = match refusal {
+                Refusal::Malformed => Response::error(Status::BAD_REQUEST, "malformed request"),
+                Refusal::Limit(limit) => {
+                    shared.limits_hit[limit as usize].inc();
+                    let message = format!("request limit hit: {}", limit.label());
+                    Response::error(limit.status(), &message)
+                }
+            };
+            write_response(&stream, &response)?;
             return Ok(());
         }
     };
@@ -398,23 +465,83 @@ fn handle_connection(
     result
 }
 
-fn read_request(reader: &mut BufReader<TcpStream>, peer: SocketAddr) -> std::io::Result<Request> {
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+/// Why a connection's request never reached the origin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    /// Unparseable head, or the connection failed while it was read:
+    /// `400`.
+    Malformed,
+    /// The client broke a request limit.
+    Limit(Limit),
+}
+
+/// A request limit, answered with its own status and counted in
+/// `msite_limits_hit_total{limit}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Limit {
+    /// Head over [`MAX_HEAD_BYTES`]: `431`.
+    HeadBytes,
+    /// More than [`MAX_HEADER_LINES`] header lines: `431`.
+    HeaderLines,
+    /// Head not complete by its deadline: `408`.
+    HeadDeadline,
+    /// `content-length` over [`MAX_BODY_BYTES`]: `413`.
+    ContentLength,
+}
+
+impl Limit {
+    const ALL: [Limit; 4] = [
+        Limit::HeadBytes,
+        Limit::HeaderLines,
+        Limit::HeadDeadline,
+        Limit::ContentLength,
+    ];
+
+    fn label(self) -> &'static str {
+        match self {
+            Limit::HeadBytes => "head_bytes",
+            Limit::HeaderLines => "header_lines",
+            Limit::HeadDeadline => "head_deadline",
+            Limit::ContentLength => "content_length",
+        }
+    }
+
+    fn status(self) -> Status {
+        match self {
+            Limit::HeadBytes | Limit::HeaderLines => Status::REQUEST_HEADER_FIELDS_TOO_LARGE,
+            Limit::HeadDeadline => Status::REQUEST_TIMEOUT,
+            Limit::ContentLength => Status::PAYLOAD_TOO_LARGE,
+        }
+    }
+}
+
+/// Reads one request: the head within [`MAX_HEAD_BYTES`],
+/// [`MAX_HEADER_LINES`] and `deadline`, then a body of at most
+/// [`MAX_BODY_BYTES`].
+fn read_request(
+    reader: &mut BufReader<TcpStream>,
+    peer: SocketAddr,
+    deadline: Instant,
+) -> Result<Request, Refusal> {
+    let mut head_bytes = 0;
+    let request_line = read_head_line(reader, &mut head_bytes, deadline)?;
     let mut parts = request_line.split_whitespace();
     let method = parts
         .next()
         .and_then(Method::parse)
-        .ok_or_else(|| bad("bad method"))?;
-    let target = parts.next().ok_or_else(|| bad("missing target"))?;
+        .ok_or(Refusal::Malformed)?;
+    let target = parts.next().ok_or(Refusal::Malformed)?;
     let mut headers = Headers::new();
+    let mut header_lines = 0;
     loop {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
+        let line = read_head_line(reader, &mut head_bytes, deadline)?;
         let line = line.trim_end();
         if line.is_empty() {
             break;
+        }
+        header_lines += 1;
+        if header_lines > MAX_HEADER_LINES {
+            return Err(Refusal::Limit(Limit::HeaderLines));
         }
         if let Some((name, value)) = line.split_once(':') {
             headers.append(name.trim(), value.trim());
@@ -424,14 +551,21 @@ fn read_request(reader: &mut BufReader<TcpStream>, peer: SocketAddr) -> std::io:
         .get("host")
         .map(str::to_string)
         .unwrap_or_else(|| peer.to_string());
-    let url = Url::parse(&format!("http://{host}{target}")).map_err(|_| bad("bad target"))?;
+    let url = Url::parse(&format!("http://{host}{target}")).map_err(|_| Refusal::Malformed)?;
     let body = match headers
         .get("content-length")
         .and_then(|v| v.parse::<usize>().ok())
     {
+        Some(len) if len > MAX_BODY_BYTES => return Err(Refusal::Limit(Limit::ContentLength)),
         Some(len) if len > 0 => {
-            let mut buf = vec![0u8; len.min(16 * 1024 * 1024)];
-            reader.read_exact(&mut buf)?;
+            let mut buf = vec![0u8; len];
+            reader
+                .get_ref()
+                .set_read_timeout(Some(BODY_READ_TIMEOUT))
+                .map_err(|_| Refusal::Malformed)?;
+            reader
+                .read_exact(&mut buf)
+                .map_err(|_| Refusal::Malformed)?;
             Bytes::from(buf)
         }
         _ => Bytes::new(),
@@ -442,6 +576,50 @@ fn read_request(reader: &mut BufReader<TcpStream>, peer: SocketAddr) -> std::io:
         headers,
         body,
     })
+}
+
+/// Reads one head line, through its `\n` or to end of stream, adding
+/// its length to `head_bytes`. Every socket read waits at most until
+/// `deadline`, so a client trickling bytes cannot renew its time.
+fn read_head_line(
+    reader: &mut BufReader<TcpStream>,
+    head_bytes: &mut usize,
+    deadline: Instant,
+) -> Result<String, Refusal> {
+    let mut line = Vec::new();
+    loop {
+        if reader.buffer().is_empty() {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Err(Refusal::Limit(Limit::HeadDeadline));
+            }
+            reader
+                .get_ref()
+                .set_read_timeout(Some(remaining))
+                .map_err(|_| Refusal::Malformed)?;
+        }
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err(Refusal::Limit(Limit::HeadDeadline));
+            }
+            Err(_) => return Err(Refusal::Malformed),
+        };
+        let (take, complete) = match available.iter().position(|&b| b == b'\n') {
+            Some(end) => (end + 1, true),
+            None => (available.len(), available.is_empty()),
+        };
+        *head_bytes += take;
+        if *head_bytes > MAX_HEAD_BYTES {
+            return Err(Refusal::Limit(Limit::HeadBytes));
+        }
+        line.extend_from_slice(&available[..take]);
+        reader.consume(take);
+        if complete {
+            return String::from_utf8(line).map_err(|_| Refusal::Malformed);
+        }
+    }
 }
 
 fn write_response(stream: &TcpStream, response: &Response) -> std::io::Result<()> {
@@ -620,6 +798,15 @@ pub fn http_request(request: &Request) -> std::io::Result<Response> {
 mod tests {
     use super::*;
 
+    /// Polls `done` until it holds; fails the test after 5 s.
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     fn echo_origin() -> OriginRef {
         Arc::new(|req: &Request| {
             Response::html(format!(
@@ -689,7 +876,10 @@ mod tests {
         // fills the queue, and every further connection must be shed.
         let gate = Arc::new(AtomicBool::new(false));
         let gate2 = Arc::clone(&gate);
+        let entered = Arc::new(AtomicUsize::new(0));
+        let entered2 = Arc::clone(&entered);
         let origin: OriginRef = Arc::new(move |_req: &Request| {
+            entered2.fetch_add(1, Ordering::SeqCst);
             while !gate2.load(Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -706,20 +896,16 @@ mod tests {
         .unwrap();
         let addr = server.addr();
         // Occupy the worker, then the queue slot, with blocked requests.
-        // Sequenced so the first is guaranteed on the worker (not in the
-        // queue) before the second arrives.
-        let wait_accepted = |n: u64| {
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while server.stats().accepted < n && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            // Accepted ⇒ submitted; give the idle worker a beat to pop it.
-            std::thread::sleep(Duration::from_millis(50));
-        };
+        // Sequenced so the first is on the worker (inside the origin),
+        // not in the queue, before the second arrives.
         let busy0 = std::thread::spawn(move || http_get(&format!("http://{addr}/busy0")).unwrap());
-        wait_accepted(1);
+        wait_for("the first request to enter the origin", || {
+            entered.load(Ordering::SeqCst) == 1
+        });
         let busy1 = std::thread::spawn(move || http_get(&format!("http://{addr}/busy1")).unwrap());
-        wait_accepted(2);
+        wait_for("the second request to queue", || {
+            server.pool().queued() == 1
+        });
         // Worker busy + queue full: the next connection must be shed.
         let resp = http_get(&format!("http://{addr}/extra")).unwrap();
         assert_eq!(resp.status, Status::SERVICE_UNAVAILABLE);
@@ -799,6 +985,164 @@ mod tests {
         let server = HttpServer::bind("127.0.0.1:0", origin).unwrap();
         let resp = http_get(&format!("http://{}/missing", server.addr())).unwrap();
         assert_eq!(resp.status, Status::NOT_FOUND);
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_accept_loop() {
+        // Nothing ever connects, so only the wake returns `accept()`; the
+        // wildcard bind wakes through loopback.
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = HttpServer::bind(bind, echo_origin()).unwrap();
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let stopper = std::thread::spawn(move || {
+                server.shutdown();
+                done_tx.send(()).unwrap();
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("shutdown of a server bound to {bind} hung"));
+            stopper.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn drop_without_shutdown_releases_the_listener() {
+        let server = HttpServer::bind("127.0.0.1:0", echo_origin()).unwrap();
+        let addr = server.addr();
+        drop(server);
+        // Probe by binding, not connecting: a connect would itself wake
+        // the loop and hide a missing wake in `Drop`.
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while TcpListener::bind(addr).is_err() {
+            assert!(
+                Instant::now() < deadline,
+                "{addr} still held 1 s after drop"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let refused = TcpStream::connect(addr).map_err(|e| e.kind());
+        assert_eq!(refused.err(), Some(ErrorKind::ConnectionRefused));
+    }
+
+    /// Runs `client` on a thread against one end of a loopback
+    /// connection and reads the other end with `read_request` under a
+    /// `budget` deadline.
+    fn read_from(
+        client: impl FnOnce(TcpStream) + Send + 'static,
+        budget: Duration,
+    ) -> Result<Request, Refusal> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, peer) = listener.accept().unwrap();
+        let client = std::thread::spawn(move || client(stream));
+        let mut reader = BufReader::new(server_side);
+        let result = read_request(&mut reader, peer, Instant::now() + budget);
+        // Closing our end makes a client still writing fail and return.
+        drop(reader);
+        client.join().unwrap();
+        result
+    }
+
+    /// Sends `head` in one write; the server may refuse before reading
+    /// all of it.
+    fn read_sent(head: Vec<u8>) -> Result<Request, Refusal> {
+        read_from(
+            move |mut client| {
+                let _ = client.write_all(&head);
+            },
+            Duration::from_secs(5),
+        )
+    }
+
+    fn head_with_lines(lines: usize) -> Vec<u8> {
+        let mut head = b"GET / HTTP/1.1\r\n".to_vec();
+        for i in 0..lines {
+            head.extend_from_slice(format!("x-h{i}: v\r\n").as_bytes());
+        }
+        head.extend_from_slice(b"\r\n");
+        head
+    }
+
+    #[test]
+    fn trickled_head_gets_408_at_its_deadline() {
+        // One byte per 20 ms renews any per-read timeout; only the
+        // deadline on the whole head ends it.
+        let trickle = |mut client: TcpStream| {
+            for byte in b"GET / HTTP/1.1\r\nx-slow: ".iter().cycle().take(250) {
+                if client.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        };
+        let started = Instant::now();
+        let result = read_from(trickle, Duration::from_millis(200));
+        let waited = started.elapsed();
+        assert_eq!(result.err(), Some(Refusal::Limit(Limit::HeadDeadline)));
+        assert!(
+            waited >= Duration::from_millis(200) && waited < Duration::from_secs(2),
+            "refused after {waited:?}"
+        );
+    }
+
+    #[test]
+    fn oversized_head_gets_431() {
+        let mut head = b"GET / HTTP/1.1\r\nx-big: ".to_vec();
+        head.resize(MAX_HEAD_BYTES + 1, b'a');
+        head.extend_from_slice(b"\r\n\r\n");
+        assert_eq!(
+            read_sent(head).err(),
+            Some(Refusal::Limit(Limit::HeadBytes))
+        );
+    }
+
+    #[test]
+    fn too_many_header_lines_get_431() {
+        let at_cap = read_sent(head_with_lines(MAX_HEADER_LINES)).unwrap();
+        assert_eq!(at_cap.headers.get("x-h0"), Some("v"));
+        assert_eq!(
+            read_sent(head_with_lines(MAX_HEADER_LINES + 1)).err(),
+            Some(Refusal::Limit(Limit::HeaderLines))
+        );
+    }
+
+    #[test]
+    fn oversized_content_length_gets_413() {
+        let head = format!(
+            "POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        assert_eq!(
+            read_sent(head.into_bytes()).err(),
+            Some(Refusal::Limit(Limit::ContentLength))
+        );
+    }
+
+    #[test]
+    fn live_server_answers_too_many_headers_with_431() {
+        let server = HttpServer::bind("127.0.0.1:0", echo_origin()).unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        // No blank line: the server refuses on the last line sent, so it
+        // closes with nothing unread and the client gets the answer.
+        let mut head = head_with_lines(MAX_HEADER_LINES + 1);
+        head.truncate(head.len() - 2);
+        client.write_all(&head).unwrap();
+        let mut reply = String::new();
+        client.read_to_string(&mut reply).unwrap();
+        assert!(
+            reply.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{reply}"
+        );
+        let metrics = &server.telemetry().metrics;
+        assert_eq!(
+            metrics.counter_value("msite_limits_hit_total", &[("limit", "header_lines")]),
+            1
+        );
+        assert_eq!(server.requests_served(), 0);
         server.shutdown();
     }
 }
