@@ -17,7 +17,13 @@
 //! cargo run --release -p msite-bench --bin experiments -- hotpath
 //! cargo run --release -p msite-bench --bin experiments -- content
 //! cargo run --release -p msite-bench --bin experiments -- --json  # JSON dump
+//! cargo run --release -p msite-bench --bin experiments -- hotpath --bench-json=BENCH.json
 //! ```
+//!
+//! An unknown experiment name or flag exits with status 2 and lists
+//! the valid ones. `--bench-json=<path>` writes the perf trajectory
+//! (per-experiment wall clocks plus the gated experiments' results) to
+//! `<path>`; without it no file is written.
 //!
 //! `fig7 --full` uses the paper's full one-minute windows (9 points × 3
 //! trials ≈ 27 minutes); the default uses scaled windows that converge to
@@ -65,8 +71,28 @@ impl ToJson for AllResults {
     }
 }
 
-/// Wall-clock spent inside each experiment, recorded into
-/// `BENCH_PR10.json` so the perf trajectory is comparable across PRs.
+/// Every experiment name the binary accepts; `all` (like no name at
+/// all) runs each of them.
+const EXPERIMENTS: &[&str] = &[
+    "table1",
+    "fig6",
+    "fig7",
+    "burst",
+    "claims",
+    "throughput",
+    "telemetry",
+    "streaming",
+    "durability",
+    "capacity",
+    "hotpath",
+    "content",
+    "planning",
+    "workload",
+    "all",
+];
+
+/// Wall-clock spent inside each experiment, recorded into the
+/// `--bench-json` file so the perf trajectory is comparable across PRs.
 struct Timings {
     entries: Vec<(&'static str, Duration)>,
 }
@@ -98,13 +124,29 @@ impl ToJson for Timings {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let full = args.iter().any(|a| a == "--full");
-    let which: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| a.as_str())
-        .collect();
+    let mut json = false;
+    let mut full = false;
+    let mut bench_json: Option<&str> = None;
+    let mut which: Vec<&str> = Vec::new();
+    for arg in &args {
+        if let Some(path) = arg.strip_prefix("--bench-json=").filter(|p| !p.is_empty()) {
+            bench_json = Some(path);
+            continue;
+        }
+        match arg.as_str() {
+            "--json" => json = true,
+            "--full" => full = true,
+            name if EXPERIMENTS.contains(&name) => which.push(name),
+            unknown => {
+                eprintln!(
+                    "unknown argument `{unknown}`; experiments: {}; flags: --json, --full, \
+                     --bench-json=<path>",
+                    EXPERIMENTS.join(", ")
+                );
+                return ExitCode::from(2);
+            }
+        }
+    }
     let want = |name: &str| which.is_empty() || which.contains(&name) || which.contains(&"all");
 
     // Shape assertions accumulate here; any failure turns into a
@@ -792,8 +834,22 @@ fn main() -> ExitCode {
     }
 
     // Machine-readable perf trajectory: per-experiment wall clock plus
-    // the throughput sweep and the telemetry-overhead gate, one file
-    // per run, overwritten in place.
+    // the gated experiments' results, written only on request.
+    if let Some(path) = bench_json {
+        write_bench_json(path, &timings, &results, json);
+    }
+
+    if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        for failure in &failures {
+            eprintln!("shape assertion failed: {failure}");
+        }
+        ExitCode::FAILURE
+    }
+}
+
+fn write_bench_json(path: &str, timings: &Timings, results: &AllResults, quiet: bool) {
     let bench_json = obj([
         ("experiments", timings.to_json_value()),
         ("throughput", results.throughput.to_json_value()),
@@ -804,21 +860,12 @@ fn main() -> ExitCode {
         ("hotpath", results.hotpath.to_json_value()),
         ("content", results.content.to_json_value()),
     ]);
-    if let Err(e) = std::fs::write("BENCH_PR10.json", bench_json.to_pretty()) {
-        eprintln!("warning: could not write BENCH_PR10.json: {e}");
-    } else if !json {
+    if let Err(e) = std::fs::write(path, bench_json.to_pretty()) {
+        eprintln!("warning: could not write {path}: {e}");
+    } else if !quiet {
         println!(
-            "\nwrote BENCH_PR10.json ({} experiments timed)",
+            "\nwrote {path} ({} experiments timed)",
             timings.entries.len()
         );
-    }
-
-    if failures.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        for failure in &failures {
-            eprintln!("shape assertion failed: {failure}");
-        }
-        ExitCode::FAILURE
     }
 }

@@ -299,27 +299,6 @@ fn zipf_rank(rng: &mut Prng, n: usize) -> usize {
     k.clamp(1, n)
 }
 
-/// Bucket-percentile over a histogram: the upper bound of the bucket
-/// holding quantile `q` (the last bound for overflow), 0 if empty.
-fn bucket_percentile(counts: &[u64], bounds: &[u64], q: f64) -> u64 {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let target = (total as f64 * q).ceil() as u64;
-    let mut seen = 0u64;
-    for (i, count) in counts.iter().enumerate() {
-        seen += count;
-        if seen >= target {
-            return bounds
-                .get(i)
-                .copied()
-                .unwrap_or_else(|| bounds.last().copied().unwrap_or(u64::MAX));
-        }
-    }
-    bounds.last().copied().unwrap_or(u64::MAX)
-}
-
 /// Extracts the session id a response issued, if any (`None` means the
 /// replayed cookie was honored — the session is still live).
 fn issued_session_id(response: &msite_net::Response) -> Option<String> {
@@ -339,9 +318,10 @@ fn issued_session_id(response: &msite_net::Response) -> Option<String> {
 pub fn run(config: &CapacityConfig) -> CapacityResult {
     assert!(config.tenants >= 1 && config.workers >= 1 && config.users >= config.workers);
     let telemetry = Telemetry::new();
-    let store = Arc::new(SessionStore::new(
+    let store = Arc::new(SessionStore::with_metrics(
         config.store.clone(),
-        Arc::new(msite::SessionFs::new()),
+        Arc::new(msite::SessionFs::with_metrics(&telemetry.metrics)),
+        Arc::clone(&telemetry.metrics),
     ));
     let proxies: Vec<Arc<ProxyServer>> = (0..config.tenants)
         .map(|i| {
@@ -477,7 +457,6 @@ pub fn run(config: &CapacityConfig) -> CapacityResult {
         telemetry
             .metrics
             .histogram("msite_proxy_request_micros", &[], LATENCY_MICROS_BOUNDS);
-    let counts = histogram.bucket_counts();
     let stats = store.stats();
     let total_requests = total.load(Ordering::Relaxed);
     CapacityResult {
@@ -490,8 +469,8 @@ pub fn run(config: &CapacityConfig) -> CapacityResult {
         errors: errors.load(Ordering::Relaxed),
         elapsed_s,
         requests_per_second: total_requests as f64 / elapsed_s.max(1e-9),
-        p50_micros: bucket_percentile(&counts, histogram.bounds(), 0.50),
-        p99_micros: bucket_percentile(&counts, histogram.bounds(), 0.99),
+        p50_micros: histogram.quantile(0.50),
+        p99_micros: histogram.quantile(0.99),
         live_sessions: store.len(),
         max_sessions: config.store.max_sessions,
         tenant_quota: store.tenant_quota(),
@@ -674,15 +653,6 @@ mod tests {
         // Under Zipf(1), the top 1% of ranks carries roughly half the
         // draws (ln(101)/ln(10001) ~= 0.50); uniform would give 1%.
         assert!(head > 20_000, "only {head}/50000 draws in the top 1%");
-    }
-
-    #[test]
-    fn bucket_percentile_picks_the_right_bound() {
-        let bounds = [10, 100, 1000];
-        assert_eq!(bucket_percentile(&[98, 1, 1, 0], &bounds, 0.50), 10);
-        assert_eq!(bucket_percentile(&[98, 1, 1, 0], &bounds, 0.99), 100);
-        assert_eq!(bucket_percentile(&[0, 0, 0, 5], &bounds, 0.99), 1000);
-        assert_eq!(bucket_percentile(&[0, 0, 0, 0], &bounds, 0.99), 0);
     }
 
     /// The scaled-down acceptance sweep: same shape as the 1M run —

@@ -14,8 +14,8 @@
 //!
 //! The remaining rows (Adler-32, full zlib, selector bloom prefilter,
 //! batch `strip_tag`) are reported without hard gates — they are
-//! workload-shaped and noisier, but the numbers land in
-//! `BENCH_PR10.json` so the trajectory stays visible across PRs.
+//! workload-shaped and noisier, but `experiments --bench-json=<path>`
+//! records the numbers so the trajectory stays visible across PRs.
 
 use crate::fixtures;
 use msite::pipeline::soa;

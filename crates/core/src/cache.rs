@@ -39,13 +39,15 @@
 use crate::persist::{DiskFreshness, DiskTier};
 use msite_support::bytes::Bytes;
 use msite_support::sync::{Mutex, OnceValue};
+use msite_support::telemetry::{Counter, MetricsRegistry};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Cache statistics snapshot.
+/// Cache statistics: a read-back of the `msite_cache_*` counters the
+/// cache increments in the registry it was built with.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a live entry.
@@ -76,14 +78,32 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
+}
 
-    fn absorb(&mut self, other: CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.expirations += other.expirations;
-        self.stale_hits += other.stale_hits;
-        self.coalesced += other.coalesced;
+/// The registry handles a [`RenderCache`] counts into.
+struct CacheMetrics {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    expirations: Arc<Counter>,
+    stale_hits: Arc<Counter>,
+    coalesced: Arc<Counter>,
+    /// `msite_disk_warm_loaded_total`, interned only when a disk tier
+    /// is attached.
+    warm_loaded: Option<Arc<Counter>>,
+}
+
+impl CacheMetrics {
+    fn new(registry: &MetricsRegistry, disk: bool) -> CacheMetrics {
+        CacheMetrics {
+            hits: registry.counter("msite_cache_hits_total", &[]),
+            misses: registry.counter("msite_cache_misses_total", &[]),
+            evictions: registry.counter("msite_cache_evictions_total", &[]),
+            expirations: registry.counter("msite_cache_expirations_total", &[]),
+            stale_hits: registry.counter("msite_cache_stale_hits_total", &[]),
+            coalesced: registry.counter("msite_cache_coalesced_total", &[]),
+            warm_loaded: disk.then(|| registry.counter("msite_disk_warm_loaded_total", &[])),
+        }
     }
 }
 
@@ -128,7 +148,6 @@ struct Inner {
     entries: HashMap<String, Entry>,
     flights: HashMap<String, Arc<InFlight>>,
     clock: u64,
-    stats: CacheStats,
     amortized: Duration,
     /// Test/harness clock offset added to `Instant::now()`, so TTL and
     /// stale-window behavior can be driven without real sleeps.
@@ -148,7 +167,6 @@ impl Shard {
                 entries: HashMap::new(),
                 flights: HashMap::new(),
                 clock: 0,
-                stats: CacheStats::default(),
                 amortized: Duration::ZERO,
                 time_offset: Duration::ZERO,
             }),
@@ -263,8 +281,7 @@ pub struct RenderCache {
     stale_window_micros: AtomicU64,
     /// Optional persistent second tier (write-behind + warm restart).
     disk: Option<Arc<DiskTier>>,
-    /// Entries preloaded from the disk tier at construction.
-    warm_loaded: AtomicU64,
+    metrics: CacheMetrics,
 }
 
 impl RenderCache {
@@ -314,27 +331,32 @@ impl RenderCache {
             shards: shards.into_boxed_slice(),
             stale_window_micros: AtomicU64::new(stale_window.as_micros() as u64),
             disk: None,
-            warm_loaded: AtomicU64::new(0),
+            metrics: CacheMetrics::new(&MetricsRegistry::new(), false),
         }
     }
 
-    /// Creates a cache backed by a persistent disk tier: inserts are
-    /// written behind to `tier`, memory misses are answered from disk
-    /// when a checksum-verified fresh artifact exists, and the hot set
-    /// (most recently persisted live entries, up to `capacity`) is
-    /// preloaded so a restarted proxy serves its working set without
-    /// re-rendering.
+    /// Like [`Self::with_stale_window`], counting the `msite_cache_*`
+    /// series into `registry` (the other constructors count into a
+    /// private one), optionally backed by a persistent disk tier:
+    /// inserts are written behind to it, memory misses are answered
+    /// from disk when a checksum-verified fresh artifact exists, and
+    /// the hot set (most recently persisted live entries, up to
+    /// `capacity`) is preloaded, counted in
+    /// `msite_disk_warm_loaded_total`, so a restarted proxy serves its
+    /// working set without re-rendering.
     ///
     /// # Panics
     ///
     /// Panics when `capacity` is zero.
-    pub fn with_disk_tier(
+    pub fn with_metrics(
         capacity: usize,
         stale_window: Duration,
-        tier: Arc<DiskTier>,
+        disk: Option<Arc<DiskTier>>,
+        registry: &MetricsRegistry,
     ) -> RenderCache {
         let mut cache = RenderCache::with_stale_window(capacity, stale_window);
-        cache.disk = Some(tier);
+        cache.metrics = CacheMetrics::new(registry, disk.is_some());
+        cache.disk = disk;
         cache.warm_load(capacity);
         cache
     }
@@ -342,8 +364,9 @@ impl RenderCache {
     /// Preloads the most recently persisted live artifacts into the
     /// memory tier (warm restart).
     fn warm_load(&self, limit: usize) {
-        let Some(tier) = &self.disk else { return };
-        let tier = Arc::clone(tier);
+        let (Some(tier), Some(warm_loaded)) = (&self.disk, &self.metrics.warm_loaded) else {
+            return;
+        };
         for key in tier.hot_keys(limit) {
             let Some(record) = tier.get(&key) else {
                 continue;
@@ -353,7 +376,7 @@ impl RenderCache {
                 let mut inner = shard.inner.lock();
                 self.insert_locked(shard, &mut inner, &key, record.value, ttl, record.cost);
                 drop(inner);
-                self.warm_loaded.fetch_add(1, Ordering::Relaxed);
+                warm_loaded.inc();
             }
         }
     }
@@ -383,7 +406,7 @@ impl RenderCache {
 
     /// Entries preloaded from disk at construction (warm restart).
     pub fn warm_loaded(&self) -> u64 {
-        self.warm_loaded.load(Ordering::Relaxed)
+        self.metrics.warm_loaded.as_ref().map_or(0, |c| c.get())
     }
 
     /// Blocks until the disk tier's write-behind queue has drained.
@@ -488,7 +511,7 @@ impl RenderCache {
                 .collect();
             for k in &dead {
                 inner.entries.remove(k);
-                inner.stats.expirations += 1;
+                self.metrics.expirations.inc();
             }
             if inner.entries.len() >= shard.capacity {
                 // Evict expired-but-stale entries before live ones;
@@ -500,7 +523,7 @@ impl RenderCache {
                     .map(|(k, _)| k.clone())
                 {
                     inner.entries.remove(&victim);
-                    inner.stats.evictions += 1;
+                    self.metrics.evictions.inc();
                 }
             }
         }
@@ -546,7 +569,7 @@ impl RenderCache {
         inner.clock += 1;
         let clock = inner.clock;
         let Some(entry) = inner.entries.get_mut(key) else {
-            inner.stats.misses += 1;
+            self.metrics.misses.inc();
             return Lookup::Miss;
         };
         let age = entry.age_past_expiry(now);
@@ -554,26 +577,26 @@ impl RenderCache {
             entry.last_used = clock;
             let value = entry.value.clone();
             let cost = entry.cost;
-            inner.stats.hits += 1;
+            self.metrics.hits.inc();
             inner.amortized += cost;
             return Lookup::Fresh(value);
         }
         if age > self.stale_window() {
             // Beyond salvage: drop the entry whichever API touched it.
             inner.entries.remove(key);
-            inner.stats.expirations += 1;
-            inner.stats.misses += 1;
+            self.metrics.expirations.inc();
+            self.metrics.misses.inc();
             return Lookup::Miss;
         }
         if !allow_stale {
-            inner.stats.misses += 1;
+            self.metrics.misses.inc();
             return Lookup::Miss;
         }
         // Refresh recency: an entry serving as degraded output must not
         // be the next LRU victim.
         entry.last_used = clock;
         let value = entry.value.clone();
-        inner.stats.stale_hits += 1;
+        self.metrics.stale_hits.inc();
         Lookup::Stale { value, age }
     }
 
@@ -721,22 +744,22 @@ impl RenderCache {
                     entry.last_used = clock;
                     let value = entry.value.clone();
                     let cost = entry.cost;
-                    inner.stats.hits += 1;
+                    self.metrics.hits.inc();
                     inner.amortized += cost;
                     return Flight::Hit(value);
                 }
                 if age > self.stale_window() {
                     inner.entries.remove(key);
-                    inner.stats.expirations += 1;
+                    self.metrics.expirations.inc();
                 } else if eager_stale {
                     entry.last_used = clock;
                     let value = entry.value.clone();
-                    inner.stats.stale_hits += 1;
+                    self.metrics.stale_hits.inc();
                     return Flight::Stale { value, age };
                 }
             }
             if !counted_miss {
-                inner.stats.misses += 1;
+                self.metrics.misses.inc();
                 counted_miss = true;
             }
             let joined = match inner.flights.get(key) {
@@ -770,7 +793,7 @@ impl RenderCache {
             };
             match outcome {
                 Some(Ok(value)) => {
-                    shard.inner.lock().stats.coalesced += 1;
+                    self.metrics.coalesced.inc();
                     return Flight::Shared(value);
                 }
                 Some(Err(error)) => {
@@ -856,17 +879,17 @@ impl RenderCache {
             if age.is_zero() {
                 entry.last_used = clock;
                 let value = entry.value.clone();
-                inner.stats.coalesced += 1;
+                self.metrics.coalesced.inc();
                 return Flight::Shared(value);
             }
             if age <= self.stale_window() {
                 entry.last_used = clock;
                 let value = entry.value.clone();
-                inner.stats.stale_hits += 1;
+                self.metrics.stale_hits.inc();
                 return Flight::Stale { value, age };
             }
             inner.entries.remove(key);
-            inner.stats.expirations += 1;
+            self.metrics.expirations.inc();
         }
         Flight::TimedOut
     }
@@ -937,13 +960,17 @@ impl RenderCache {
         self.len() == 0
     }
 
-    /// Statistics so far, aggregated across shards.
+    /// Statistics so far, read back from the registry series.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in self.shards.iter() {
-            total.absorb(shard.inner.lock().stats);
+        let m = &self.metrics;
+        CacheStats {
+            hits: m.hits.get(),
+            misses: m.misses.get(),
+            evictions: m.evictions.get(),
+            expirations: m.expirations.get(),
+            stale_hits: m.stale_hits.get(),
+            coalesced: m.coalesced.get(),
         }
-        total
     }
 
     /// Total rendering time saved by cache hits — the paper's
@@ -1075,7 +1102,8 @@ impl std::fmt::Debug for ExternalFlight {
 // Fingerprint-keyed subtree tier
 // ---------------------------------------------------------------------------
 
-/// Statistics snapshot for a [`SubtreeCache`].
+/// Statistics for a [`SubtreeCache`]: a read-back of the counters it
+/// increments in the registry it was built with.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubtreeCacheStats {
     /// Lookups that found a cached artifact.
@@ -1094,7 +1122,6 @@ struct SubtreeEntry {
 struct SubtreeInner {
     map: HashMap<u64, SubtreeEntry>,
     tick: u64,
-    stats: SubtreeCacheStats,
 }
 
 /// The incremental re-adaptation tier: finished per-subtree artifacts
@@ -1112,29 +1139,42 @@ struct SubtreeInner {
 pub struct SubtreeCache {
     inner: Mutex<SubtreeInner>,
     capacity: usize,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
 }
 
 impl std::fmt::Debug for SubtreeCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("SubtreeCache")
             .field("capacity", &self.capacity)
-            .field("len", &inner.map.len())
-            .field("stats", &inner.stats)
+            .field("len", &self.len())
+            .field("stats", &self.stats())
             .finish()
     }
 }
 
 impl SubtreeCache {
-    /// Creates a tier bounded to `capacity` artifacts (min 1).
+    /// Creates a tier bounded to `capacity` artifacts (min 1) that
+    /// counts into a private registry.
     pub fn new(capacity: usize) -> SubtreeCache {
+        SubtreeCache::with_metrics(capacity, &MetricsRegistry::new())
+    }
+
+    /// Creates a tier bounded to `capacity` artifacts (min 1) that
+    /// counts hits, misses and evictions into `registry`
+    /// (`msite_subtrees_reused_total`, `msite_subtrees_recomputed_total`,
+    /// `msite_subtree_cache_evictions_total`).
+    pub fn with_metrics(capacity: usize, registry: &MetricsRegistry) -> SubtreeCache {
         SubtreeCache {
             inner: Mutex::new(SubtreeInner {
                 map: HashMap::new(),
                 tick: 0,
-                stats: SubtreeCacheStats::default(),
             }),
             capacity: capacity.max(1),
+            hits: registry.counter("msite_subtrees_reused_total", &[]),
+            misses: registry.counter("msite_subtrees_recomputed_total", &[]),
+            evictions: registry.counter("msite_subtree_cache_evictions_total", &[]),
         }
     }
 
@@ -1147,11 +1187,11 @@ impl SubtreeCache {
             Some(entry) => {
                 entry.last_used = tick;
                 let value = Arc::clone(&entry.value);
-                inner.stats.hits += 1;
+                self.hits.inc();
                 Some(value)
             }
             None => {
-                inner.stats.misses += 1;
+                self.misses.inc();
                 None
             }
         }
@@ -1180,7 +1220,7 @@ impl SubtreeCache {
                 break;
             };
             inner.map.remove(&oldest);
-            inner.stats.evictions += 1;
+            self.evictions.inc();
         }
     }
 
@@ -1199,9 +1239,13 @@ impl SubtreeCache {
         self.inner.lock().map.clear();
     }
 
-    /// Statistics snapshot.
+    /// Statistics so far, read back from the registry series.
     pub fn stats(&self) -> SubtreeCacheStats {
-        self.inner.lock().stats
+        SubtreeCacheStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+        }
     }
 }
 

@@ -20,6 +20,7 @@ use msite_render::browser::{Browser, BrowserConfig};
 use msite_render::png;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 /// A rendered artifact produced by an engine.
 #[derive(Debug, Clone)]
@@ -28,6 +29,9 @@ pub struct RenderedArtifact {
     pub content_type: String,
     /// Artifact bytes.
     pub bytes: Vec<u8>,
+    /// Time spent PNG-encoding `bytes`, for engines that do; the caller
+    /// counts the encode against its own metrics.
+    pub png_encode: Option<Duration>,
 }
 
 impl RenderedArtifact {
@@ -35,6 +39,7 @@ impl RenderedArtifact {
         RenderedArtifact {
             content_type: content_type.to_string(),
             bytes: body.into_bytes(),
+            png_encode: None,
         }
     }
 }
@@ -133,9 +138,12 @@ impl RenderEngine for ImageEngine {
     fn render(&self, html: &str) -> RenderedArtifact {
         let browser = Browser::launch(self.config.clone());
         let result = browser.render_page(html, &[]);
+        let started = Instant::now();
+        let bytes = png::encode(&result.canvas);
         RenderedArtifact {
             content_type: "image/png".to_string(),
-            bytes: png::encode(&result.canvas),
+            bytes,
+            png_encode: Some(started.elapsed()),
         }
     }
 }
@@ -211,6 +219,7 @@ impl RenderEngine for PdfEngine {
         RenderedArtifact {
             content_type: "application/pdf".to_string(),
             bytes: self.write_pdf(&title, &lines),
+            png_encode: None,
         }
     }
 }

@@ -33,6 +33,7 @@
 
 use msite_support::bytes::Bytes;
 use msite_support::sync::{Condvar, Mutex};
+use msite_support::telemetry::{Counter, Gauge, MetricsRegistry};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -513,7 +514,9 @@ impl Default for DiskTierConfig {
     }
 }
 
-/// Counters a [`DiskTier`] accumulates over its lifetime.
+/// Counters a [`DiskTier`] accumulates over its lifetime: a read-back
+/// of the `msite_disk_*` series it updates in the registry it was
+/// opened with.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskTierStats {
     /// Reads answered from the tier with a checksum-verified artifact.
@@ -576,6 +579,36 @@ struct TierState {
     segments: BTreeMap<u32, u64>,
     current_segment: u32,
     sequence: u64,
+    /// `msite_disk_live_bytes`: artifact bytes in `index`, moved by
+    /// every index change below.
+    live_bytes: Arc<Gauge>,
+}
+
+impl TierState {
+    fn index_insert(&mut self, key: String, entry: IndexEntry) {
+        self.live_bytes.add(i64::from(entry.len));
+        if let Some(old) = self.index.insert(key, entry) {
+            self.live_bytes.sub(i64::from(old.len));
+        }
+    }
+
+    fn index_remove(&mut self, key: &str) {
+        if let Some(old) = self.index.remove(key) {
+            self.live_bytes.sub(i64::from(old.len));
+        }
+    }
+
+    /// Forgets segment `id` and every index entry stored in it.
+    fn drop_segment(&mut self, id: u32) {
+        self.segments.remove(&id);
+        let live_bytes = &self.live_bytes;
+        self.index.retain(|_, e| {
+            if e.segment == id {
+                live_bytes.sub(i64::from(e.len));
+            }
+            e.segment != id
+        });
+    }
 }
 
 /// Sentinel segment id marking a journal record as a tombstone: replay
@@ -603,13 +636,13 @@ struct TierShared {
     config: DiskTierConfig,
     state: Mutex<TierState>,
     queue: WriteQueue,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    puts: AtomicU64,
-    put_errors: AtomicU64,
-    quarantined: AtomicU64,
-    replayed: AtomicU64,
-    segments_dropped: AtomicU64,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    puts: Arc<Counter>,
+    put_errors: Arc<Counter>,
+    quarantined: Arc<Counter>,
+    replayed: Arc<Counter>,
+    segments_dropped: Arc<Counter>,
 }
 
 /// The persistent artifact tier: checksummed segments plus an
@@ -640,18 +673,31 @@ pub struct DiskTier {
 impl DiskTier {
     /// Opens the tier over `backend`, replaying the index journal.
     /// Corrupt records are quarantined and skipped; replay never
-    /// panics and never fails — worst case the tier starts cold.
+    /// panics and never fails — worst case the tier starts cold. The
+    /// tier counts into a private registry.
     pub fn open(backend: Arc<dyn DiskBackend>, config: DiskTierConfig) -> DiskTier {
-        let mut quarantined = 0u64;
-        let mut replayed = 0u64;
+        DiskTier::open_with_metrics(backend, config, &MetricsRegistry::new())
+    }
+
+    /// Like [`Self::open`], counting the `msite_disk_*` series (replay
+    /// and quarantine included) into `registry`.
+    pub fn open_with_metrics(
+        backend: Arc<dyn DiskBackend>,
+        config: DiskTierConfig,
+        registry: &MetricsRegistry,
+    ) -> DiskTier {
+        let counter = |name: &str| registry.counter(name, &[]);
+        let quarantined = counter("msite_disk_quarantined_total");
+        let replayed = counter("msite_disk_replayed_total");
+        let live_bytes = registry.gauge("msite_disk_live_bytes", &[]);
         let journal = backend.read(JOURNAL).unwrap_or_default();
         let (records, bad) = replay_journal(&journal);
-        quarantined += bad;
+        quarantined.add(bad);
         let mut index: HashMap<String, IndexEntry> = HashMap::new();
         let mut sequence = 0u64;
         for (key, entry) in records {
             sequence = sequence.max(entry.sequence);
-            replayed += 1;
+            replayed.inc();
             if entry.segment == TOMBSTONE_SEGMENT {
                 index.remove(&key);
             } else {
@@ -668,6 +714,7 @@ impl DiskTier {
             }
         }
         index.retain(|_, e| segments.contains_key(&e.segment));
+        live_bytes.add(index.values().map(|e| i64::from(e.len)).sum());
         let current_segment = segments.keys().next_back().copied().unwrap_or(0);
         let shared = Arc::new(TierShared {
             backend,
@@ -677,6 +724,7 @@ impl DiskTier {
                 segments,
                 current_segment,
                 sequence,
+                live_bytes,
             }),
             queue: WriteQueue {
                 jobs: Mutex::new(VecDeque::new()),
@@ -685,13 +733,13 @@ impl DiskTier {
                 stop: AtomicBool::new(false),
                 in_flight: AtomicU64::new(0),
             },
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            put_errors: AtomicU64::new(0),
-            quarantined: AtomicU64::new(quarantined),
-            replayed: AtomicU64::new(replayed),
-            segments_dropped: AtomicU64::new(0),
+            hits: counter("msite_disk_hits_total"),
+            misses: counter("msite_disk_misses_total"),
+            puts: counter("msite_disk_puts_total"),
+            put_errors: counter("msite_disk_put_errors_total"),
+            quarantined,
+            replayed,
+            segments_dropped: counter("msite_disk_segments_dropped_total"),
         });
         let writer = {
             let shared = Arc::clone(&shared);
@@ -727,7 +775,7 @@ impl DiskTier {
     /// resurrect it. The segment bytes are reclaimed only when their
     /// segment rotates out.
     pub fn forget(&self, key: &str) {
-        self.shared.state.lock().index.remove(key);
+        self.shared.state.lock().index_remove(key);
         self.enqueue(WriteJob {
             key: key.to_string(),
             value: Bytes::new(),
@@ -763,7 +811,7 @@ impl DiskTier {
             state.index.get(key).cloned()
         };
         let Some(entry) = entry else {
-            self.shared.misses.fetch_add(1, Ordering::Relaxed);
+            self.shared.misses.inc();
             return None;
         };
         let name = segment_name(entry.segment);
@@ -782,11 +830,11 @@ impl DiskTier {
                 .get(key)
                 .is_some_and(|e| e.sequence == entry.sequence)
             {
-                state.index.remove(key);
+                state.index_remove(key);
             }
             drop(state);
-            self.shared.quarantined.fetch_add(1, Ordering::Relaxed);
-            self.shared.misses.fetch_add(1, Ordering::Relaxed);
+            self.shared.quarantined.inc();
+            self.shared.misses.inc();
             return None;
         };
         let freshness = if entry.expires_unix_ms == u64::MAX {
@@ -799,7 +847,7 @@ impl DiskTier {
                 DiskFreshness::Expired(Duration::from_millis(now - entry.expires_unix_ms))
             }
         };
-        self.shared.hits.fetch_add(1, Ordering::Relaxed);
+        self.shared.hits.inc();
         Some(DiskRecord {
             value: Bytes::from(bytes),
             freshness,
@@ -839,21 +887,18 @@ impl DiskTier {
         }
     }
 
-    /// Counters so far.
+    /// Counters so far, read back from the registry series.
     pub fn stats(&self) -> DiskTierStats {
-        let live_bytes = {
-            let state = self.shared.state.lock();
-            state.index.values().map(|e| u64::from(e.len)).sum()
-        };
+        let shared = &self.shared;
         DiskTierStats {
-            hits: self.shared.hits.load(Ordering::Relaxed),
-            misses: self.shared.misses.load(Ordering::Relaxed),
-            puts: self.shared.puts.load(Ordering::Relaxed),
-            put_errors: self.shared.put_errors.load(Ordering::Relaxed),
-            quarantined: self.shared.quarantined.load(Ordering::Relaxed),
-            replayed: self.shared.replayed.load(Ordering::Relaxed),
-            segments_dropped: self.shared.segments_dropped.load(Ordering::Relaxed),
-            live_bytes,
+            hits: shared.hits.get(),
+            misses: shared.misses.get(),
+            puts: shared.puts.get(),
+            put_errors: shared.put_errors.get(),
+            quarantined: shared.quarantined.get(),
+            replayed: shared.replayed.get(),
+            segments_dropped: shared.segments_dropped.get(),
+            live_bytes: shared.state.lock().live_bytes.get().max(0) as u64,
         }
     }
 }
@@ -931,7 +976,7 @@ fn persist_one(shared: &TierShared, job: &WriteJob) {
             encode_record(&job.key, &entry)
         };
         if shared.backend.append(JOURNAL, &record).is_err() {
-            shared.put_errors.fetch_add(1, Ordering::Relaxed);
+            shared.put_errors.inc();
         }
         return;
     }
@@ -960,10 +1005,9 @@ fn persist_one(shared: &TierShared, job: &WriteJob) {
             if oldest == state.current_segment {
                 break;
             }
-            state.segments.remove(&oldest);
-            state.index.retain(|_, e| e.segment != oldest);
+            state.drop_segment(oldest);
             let _ = shared.backend.remove(&segment_name(oldest));
-            shared.segments_dropped.fetch_add(1, Ordering::Relaxed);
+            shared.segments_dropped.inc();
         }
         state.current_segment
     };
@@ -974,12 +1018,12 @@ fn persist_one(shared: &TierShared, job: &WriteJob) {
     let offset = match shared.backend.size(&name) {
         Ok(size) => size,
         Err(_) => {
-            shared.put_errors.fetch_add(1, Ordering::Relaxed);
+            shared.put_errors.inc();
             return;
         }
     };
     if shared.backend.append(&name, job.value.as_ref()).is_err() {
-        shared.put_errors.fetch_add(1, Ordering::Relaxed);
+        shared.put_errors.inc();
         return;
     }
     let written = shared.backend.size(&name).unwrap_or(offset);
@@ -998,19 +1042,19 @@ fn persist_one(shared: &TierShared, job: &WriteJob) {
             sequence,
         };
         let record = encode_record(&job.key, &entry);
-        state.index.insert(job.key.clone(), entry);
+        state.index_insert(job.key.clone(), entry);
         record
     };
     if shared.backend.append(JOURNAL, &record).is_err() {
         // The artifact landed but its index record did not: the current
         // process can still serve it (index updated above); a restart
         // simply will not know about it.
-        shared.put_errors.fetch_add(1, Ordering::Relaxed);
+        shared.put_errors.inc();
         return;
     }
     let _ = shared.backend.sync(&name);
     let _ = shared.backend.sync(JOURNAL);
-    shared.puts.fetch_add(1, Ordering::Relaxed);
+    shared.puts.inc();
 }
 
 /// `MAGIC | payload_len(u32) | fnv64(payload) | payload`, little endian.

@@ -14,7 +14,7 @@ use crate::ajax;
 use crate::attributes::{Attribute, DockObject, Position, Rule, Target};
 use crate::content;
 use msite_html::{Document, NodeId};
-use msite_render::image::{process, ImageFormat, PostProcess};
+use msite_render::image::{ImageFormat, PostProcess};
 use msite_render::Rect;
 use std::time::Duration;
 
@@ -167,7 +167,7 @@ impl Stage for AttributeStage {
                             let name = format!("obj{obj_counter}.png");
                             let object_html = standalone_object_page(doc, node);
                             let rendered = renderer.render(&object_html);
-                            let processed = process(
+                            let processed = renderer.process(
                                 &rendered.canvas,
                                 &PostProcess {
                                     scale: Some(*scale),
@@ -244,7 +244,7 @@ impl Stage for AttributeStage {
                                      <p style=\"color:#ffffff\">&#9654; {label}</p></div></body></html>"
                                 );
                                 let rendered = renderer.render(&page);
-                                let processed = process(
+                                let processed = renderer.process(
                                     &rendered.canvas,
                                     &PostProcess {
                                         // The canvas spans the viewport; cut
@@ -426,7 +426,7 @@ impl Stage for AttributeStage {
                                      <p style=\"color:#ffffff\">{label}</p></div></body></html>"
                                 );
                                 let rendered = renderer.render(&page);
-                                let processed = process(
+                                let processed = renderer.process(
                                     &rendered.canvas,
                                     &PostProcess {
                                         crop: Some(Rect::new(

@@ -19,6 +19,9 @@ impl Stage for DomStage {
 
     fn run(&self, state: &mut PipelineState<'_>) -> Result<StageOutcome, AdaptError> {
         state.stats.dom_parsed = true;
+        state
+            .renderer
+            .count("msite_tokenizer_bytes_total", state.source.len() as u64);
         let doc = tidy::tidy(&state.source);
         // Fingerprint and/or measure every subtree of the clean parse
         // *before* the attribute stage mutates the tree: fingerprints

@@ -39,7 +39,7 @@ use super::{AdaptError, EmitUnit, GeneratedFile, GeneratedImage, PipelineContext
 use crate::ajax;
 use crate::search::SearchIndex;
 use msite_html::fingerprint::{fnv1a_continue, FNV_OFFSET};
-use msite_render::image::{process, ImageFormat, PostProcess};
+use msite_render::image::{ImageFormat, PostProcess};
 use msite_render::Rect;
 use msite_support::sync::Mutex;
 use std::sync::Arc;
@@ -203,7 +203,7 @@ fn build_entry(state: &mut PipelineState<'_>) -> (String, Option<GeneratedImage>
     };
     let doc = state.doc.as_mut().expect("dom stage ran before emit");
     if let (Some(snap), Some(render)) = (&state.spec.snapshot, &state.snapshot_render) {
-        let processed = process(
+        let processed = state.renderer.process(
             &render.canvas,
             &PostProcess {
                 scale: Some(snap.scale),
@@ -265,7 +265,8 @@ fn build_entry(state: &mut PipelineState<'_>) -> (String, Option<GeneratedImage>
 }
 
 /// Merges finished subpage artifacts into the state (key order) and
-/// settles the incremental counters/span for the run.
+/// records the run's incremental-reuse span. The subtree cache itself
+/// counts the reuses and recomputations.
 fn merge_artifacts(state: &mut PipelineState<'_>, artifacts: Vec<(Arc<SubpageArtifact>, bool)>) {
     let mut reused = 0u64;
     let mut recomputed = 0u64;
@@ -284,14 +285,6 @@ fn merge_artifacts(state: &mut PipelineState<'_>, artifacts: Vec<(Arc<SubpageArt
     }
     if state.ctx.subtree_cache.is_none() {
         return;
-    }
-    if let Some(metrics) = &state.ctx.metrics {
-        metrics
-            .counter("msite_subtrees_reused_total", &[])
-            .add(reused);
-        metrics
-            .counter("msite_subtrees_recomputed_total", &[])
-            .add(recomputed);
     }
     if reused > 0 {
         if let Some(trace) = &state.ctx.trace {
@@ -382,7 +375,7 @@ fn build_subpage(
         };
     }
     let rendered = renderer.render(&html);
-    let processed = process(
+    let processed = renderer.process(
         &rendered.canvas,
         &PostProcess {
             format: ImageFormat::JpegClass { quality: 50 },

@@ -185,9 +185,11 @@ pub struct PipelineContext {
     /// builds for the next run. `None` (the default) recomputes
     /// everything — the behavior standalone pipeline runs keep.
     pub subtree_cache: Option<std::sync::Arc<crate::cache::SubtreeCache>>,
-    /// Registry the emit stage bumps its incremental counters into
-    /// (`msite_subtrees_reused_total` / `msite_subtrees_recomputed_total`).
-    /// `None` skips the bumps.
+    /// Registry the run counts its browser renders, the bytes its stages
+    /// tokenize and its PNG encodes into as they happen
+    /// (`msite_browser_renders_total`, `msite_tokenizer_bytes_total`,
+    /// `msite_png_encodes_total`, `msite_png_encode_micros`). `None`
+    /// counts nothing.
     pub metrics: Option<std::sync::Arc<msite_support::telemetry::MetricsRegistry>>,
     /// Resolved bandwidth class for `fidelity-tier auto` attributes
     /// (the proxy resolves it per request from the client's header or
@@ -312,13 +314,7 @@ fn drive(
     }
     report.parallelism = ctx.parallelism.max(1);
     report.degradations = state.renderer.degradations();
-    let bundle = state.into_bundle();
-    if let Some(metrics) = &ctx.metrics {
-        metrics
-            .counter("msite_browser_renders_total", &[])
-            .add(bundle.stats.browser_renders as u64);
-    }
-    Ok((bundle, report))
+    Ok((state.into_bundle(), report))
 }
 
 /// Times one stage body and records its report entry and trace span.

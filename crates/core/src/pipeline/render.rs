@@ -7,12 +7,13 @@ use super::edit::standalone_object_page;
 use super::GeneratedImage;
 use msite_html::{Document, NodeId};
 use msite_render::browser::{Browser, BrowserConfig};
-use msite_render::image::{process, ImageFormat, PostProcess};
-use msite_render::RenderResult;
+use msite_render::image::{self, ImageFormat, PostProcess, ProcessedImage};
+use msite_render::{Canvas, RenderResult};
 use msite_support::sync::Mutex;
+use msite_support::telemetry::MetricsRegistry;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Shared browser handle for snapshot and pre-render work. Launching is
@@ -32,16 +33,21 @@ pub(crate) struct Renderer {
     spent_nanos: AtomicU64,
     renders: AtomicUsize,
     degradations: Mutex<Vec<String>>,
+    /// The run's [`PipelineContext::metrics`](super::PipelineContext):
+    /// renders, the HTML bytes the browser tokenizes and PNG encodes
+    /// are counted here as they happen.
+    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl Renderer {
-    pub(crate) fn new(config: BrowserConfig) -> Renderer {
+    pub(crate) fn new(config: BrowserConfig, metrics: Option<Arc<MetricsRegistry>>) -> Renderer {
         Renderer {
             config: Mutex::new(config),
             browser: OnceLock::new(),
             spent_nanos: AtomicU64::new(0),
             renders: AtomicUsize::new(0),
             degradations: Mutex::new(Vec::new()),
+            metrics,
         }
     }
 
@@ -55,6 +61,22 @@ impl Renderer {
     /// layer deduplicates across concurrent users.
     pub(crate) fn renders(&self) -> usize {
         self.renders.load(Ordering::Relaxed)
+    }
+
+    /// Adds `n` to the run's counter `name`; no-op without a registry.
+    pub(crate) fn count(&self, name: &str, n: u64) {
+        if let Some(metrics) = &self.metrics {
+            metrics.counter(name, &[]).add(n);
+        }
+    }
+
+    /// Post-processes a rendered canvas, counting its PNG encode.
+    pub(crate) fn process(&self, canvas: &Canvas, spec: &PostProcess) -> ProcessedImage {
+        let processed = image::process(canvas, spec);
+        self.count("msite_png_encodes_total", 1);
+        let micros = processed.encode_time.as_micros() as u64;
+        self.count("msite_png_encode_micros", micros);
+        processed
     }
 
     /// Total browser-busy time so far: launch plus the sum of
@@ -80,6 +102,8 @@ impl Renderer {
     pub(crate) fn render(&self, html: &str) -> RenderResult {
         let start = Instant::now();
         self.renders.fetch_add(1, Ordering::Relaxed);
+        self.count("msite_browser_renders_total", 1);
+        self.count("msite_tokenizer_bytes_total", html.len() as u64);
         let browser = self
             .browser
             .get_or_init(|| Browser::launch(self.config.lock().clone()));
@@ -164,7 +188,7 @@ pub(crate) fn partial_css_prerender(
     }
     let blanked_html = standalone_object_page(&scratch, copy);
     let rendered = renderer.render(&blanked_html);
-    let processed = process(
+    let processed = renderer.process(
         &rendered.canvas,
         &PostProcess {
             scale: Some(scale),

@@ -302,7 +302,7 @@ impl<'a> PipelineState<'a> {
             stats: PipelineStats::default(),
             wants_cookie_clear: false,
             searchable: false,
-            renderer: Renderer::new(ctx.browser_config.clone()),
+            renderer: Renderer::new(ctx.browser_config.clone(), ctx.metrics.clone()),
             snapshot_render: None,
             subpage_files: Vec::new(),
             entry_html: String::new(),

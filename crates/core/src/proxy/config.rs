@@ -89,22 +89,12 @@ pub struct ProxyConfig {
     /// HTTP server binds with) so proxy, server, and resilience
     /// counters land in one scrapeable registry.
     pub telemetry: Option<Telemetry>,
-    /// Enables incremental re-adaptation: when an entry rebuild runs,
-    /// subpage artifacts whose source-subtree fingerprints (and
-    /// assembly inputs) are unchanged are served from the
-    /// fingerprint-keyed subtree cache instead of being re-assembled
-    /// and re-rendered. Output is byte-identical either way.
-    pub incremental: bool,
     /// Capacity (entries) of the fingerprint-keyed subtree artifact
-    /// cache backing incremental re-adaptation.
+    /// cache backing incremental re-adaptation: when an entry rebuild
+    /// runs, subpage artifacts whose source-subtree fingerprints (and
+    /// assembly inputs) are unchanged are served from it instead of
+    /// being re-assembled and re-rendered.
     pub subtree_cache_capacity: usize,
-    /// Enables progressive (chunked) delivery of the entry page for
-    /// requests that opt in with the `x-msite-stream: chunked` header:
-    /// the entry snapshot + imagemap HTML is flushed as the first
-    /// chunk while subpage assembly is still running. The
-    /// concatenation of all chunks is byte-identical to the batch
-    /// response body.
-    pub streaming: bool,
     /// Crash-safe persistent second cache tier. `None` (the default)
     /// keeps the render cache memory-only; `Some` journals rendered
     /// artifacts through a [`DiskTier`](crate::persist::DiskTier) so a
@@ -145,9 +135,7 @@ impl Default for ProxyConfig {
             stale_window: Duration::from_secs(600),
             pipeline_parallelism: msite_support::thread::default_parallelism(),
             telemetry: None,
-            incremental: true,
             subtree_cache_capacity: 512,
-            streaming: true,
             persist: None,
             max_sessions: 4096,
             session_ttl: Some(Duration::from_secs(1800)),

@@ -381,6 +381,12 @@ impl ProxyServer {
                 if !render.degraded.is_empty() {
                     self.metrics.engine_fallbacks.inc();
                 }
+                if let Some(encode) = render.artifact.png_encode {
+                    self.metrics.png_encodes.inc();
+                    self.metrics
+                        .png_encode_micros
+                        .add(encode.as_micros() as u64);
+                }
                 Ok((Bytes::from(render.to_cached().encode()), start.elapsed()))
             }
             Err(Some(failures)) => Err(ProxyError::RenderFailed {

@@ -111,25 +111,22 @@ impl ProxyServer {
     /// configured resilience policy (retries, deadline, breaker).
     pub fn new(spec: AdaptationSpec, origin: OriginRef, config: ProxyConfig) -> ProxyServer {
         let telemetry = config.telemetry.clone().unwrap_or_default();
-        let cache = match &config.persist {
-            Some(persist) => {
-                let tier = crate::persist::DiskTier::open(
-                    Arc::clone(&persist.backend),
-                    crate::persist::DiskTierConfig::with_capacity(persist.capacity_bytes),
-                );
-                RenderCache::with_disk_tier(
-                    config.cache_capacity,
-                    config.stale_window,
-                    Arc::new(tier),
-                )
-            }
-            None => RenderCache::with_stale_window(config.cache_capacity, config.stale_window),
-        };
+        let registry = &telemetry.metrics;
+        let disk = config.persist.as_ref().map(|persist| {
+            Arc::new(crate::persist::DiskTier::open_with_metrics(
+                Arc::clone(&persist.backend),
+                crate::persist::DiskTierConfig::with_capacity(persist.capacity_bytes),
+                registry,
+            ))
+        });
+        let cache =
+            RenderCache::with_metrics(config.cache_capacity, config.stale_window, disk, registry);
         // Session store: private (built from the config knobs) unless
-        // the embedder passed a shared multi-tenant store.
+        // the embedder passed a shared multi-tenant store, which counts
+        // into the registry it was built with.
         let sessions = match &config.session_store {
             Some(store) => Arc::clone(store),
-            None => Arc::new(SessionStore::new(
+            None => Arc::new(SessionStore::with_metrics(
                 SessionStoreConfig {
                     max_sessions: config.max_sessions,
                     session_ttl: config.session_ttl,
@@ -137,7 +134,8 @@ impl ProxyServer {
                     tenant_share: config.tenant_share,
                     seed: config.seed,
                 },
-                Arc::new(SessionFs::new()),
+                Arc::new(SessionFs::with_metrics(registry)),
+                Arc::clone(registry),
             )),
         };
         let tenant = Url::parse(&spec.page_url)
@@ -153,17 +151,16 @@ impl ProxyServer {
                 bundles.lock().remove(id);
             }));
         }
-        let metrics = ProxyMetrics::new(&telemetry);
-        metrics
-            .session_max
-            .set(sessions.config().max_sessions as i64);
         ProxyServer {
             fs: Arc::clone(sessions.fs()),
             sessions,
             tenant,
             cache: Arc::new(cache),
-            subtrees: Arc::new(SubtreeCache::new(config.subtree_cache_capacity)),
-            metrics,
+            subtrees: Arc::new(SubtreeCache::with_metrics(
+                config.subtree_cache_capacity,
+                registry,
+            )),
+            metrics: ProxyMetrics::new(&telemetry),
             trace_ids: TraceIdSeq::new(config.seed ^ 0x0074_7261_6365), // "trace"
             shared_ajax: Arc::new(Mutex::new(None)),
             user_bundles,
@@ -344,11 +341,7 @@ impl ProxyServer {
             parallelism: self.config.pipeline_parallelism,
             schedule_stagger: None,
             trace: Trace::current(),
-            subtree_cache: if self.config.incremental {
-                Some(Arc::clone(&self.subtrees))
-            } else {
-                None
-            },
+            subtree_cache: Some(Arc::clone(&self.subtrees)),
             metrics: Some(Arc::clone(&self.telemetry.metrics)),
             fidelity: None,
         }

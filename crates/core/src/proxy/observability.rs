@@ -2,9 +2,12 @@
 //!
 //! [`ProxyStats`] is a read-back view over the proxy's metrics
 //! registry; [`ProxyMetrics`] holds the pre-interned handles the hot
-//! path bumps. The observability endpoints (`/metrics`, `/healthz`,
-//! `/trace/<id>`) are answered before any request counter or trace id
-//! moves, so scraping never perturbs the numbers being scraped.
+//! path bumps. The caches, the disk tier and the session store count
+//! into the same registry as events happen, so `/metrics` renders the
+//! registry and does nothing else. The observability endpoints
+//! (`/metrics`, `/healthz`, `/trace/<id>`) are answered before any
+//! request counter or trace id moves, so scraping never perturbs the
+//! numbers being scraped.
 
 use super::ProxyServer;
 use crate::error::{ProxyError, DEGRADED_HEADER};
@@ -13,15 +16,15 @@ use msite_net::resilience::BreakerState;
 use msite_net::{Request, Response, Url};
 use msite_support::bytes::Bytes;
 use msite_support::telemetry::{
-    metrics::LATENCY_MICROS_BOUNDS, Counter, Gauge, Histogram, Telemetry, Trace,
+    metrics::LATENCY_MICROS_BOUNDS, Counter, Histogram, Telemetry, Trace,
 };
 use std::sync::Arc;
 
-/// Proxy request counters. Since the telemetry refactor this is a
-/// *view*: every field is read back from the proxy's metrics registry
-/// (`msite_proxy_*` series; `overload_rejections` is the serving
-/// tier's `msite_server_rejected_overload_total`), so [`ProxyStats`]
-/// and a `/metrics` scrape can never disagree.
+/// Proxy request counters: every field is read back from the proxy's
+/// metrics registry (`msite_proxy_*` series; `sessions_created`,
+/// `subtrees_*` and `overload_rejections` read the session store's,
+/// the subtree cache's and the serving tier's series), so
+/// [`ProxyStats`] and a `/metrics` scrape can never disagree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProxyStats {
     /// Requests handled.
@@ -33,7 +36,7 @@ pub struct ProxyStats {
     pub lightweight: u64,
     /// Origin sub-requests issued.
     pub origin_fetches: u64,
-    /// Sessions created.
+    /// Sessions created (`msite_session_created_total`).
     pub sessions_created: u64,
     /// Requests answered with a [`ProxyError`] response.
     pub failures: u64,
@@ -51,10 +54,7 @@ pub struct ProxyStats {
     /// was full. The rejected connections never reach the proxy's
     /// request handler: this reads the HTTP server's
     /// `msite_server_rejected_overload_total` counter, which a server
-    /// sharing this proxy's [`Telemetry`] updates directly — no
-    /// embedder-side folding needed. (Embedders running a server with
-    /// a *separate* registry can still fold via
-    /// [`ProxyServer::record_overload_rejections`].)
+    /// sharing this proxy's [`Telemetry`] updates directly.
     pub overload_rejections: u64,
     /// Subpage artifacts served from the fingerprint-keyed subtree
     /// cache during an entry rebuild (incremental re-adaptation).
@@ -74,28 +74,17 @@ pub(super) struct ProxyMetrics {
     pub(super) full_renders: Arc<Counter>,
     pub(super) lightweight: Arc<Counter>,
     pub(super) origin_fetches: Arc<Counter>,
-    pub(super) sessions_created: Arc<Counter>,
     pub(super) stale_served: Arc<Counter>,
     pub(super) engine_fallbacks: Arc<Counter>,
     pub(super) renders_coalesced: Arc<Counter>,
     /// The serving tier's shed counter — the *same* series an
-    /// `HttpServer` sharing this registry increments, so embedders get
-    /// consistent numbers without folding.
+    /// `HttpServer` sharing this registry increments.
     pub(super) overload_rejections: Arc<Counter>,
-    /// Subtree-cache reuse counters — the same series the emit stage
-    /// bumps through [`PipelineContext::metrics`]; interned here so
-    /// [`ProxyStats`] reads are single atomic loads.
-    pub(super) subtrees_reused: Arc<Counter>,
-    pub(super) subtrees_recomputed: Arc<Counter>,
     pub(super) streamed_responses: Arc<Counter>,
-    pub(super) sessions_live: Arc<Gauge>,
-    /// Session-store gauges (`msite_session_*`): live occupancy and
-    /// the configured bound — the pair the health monitor reads to
-    /// fold session pressure into its classification — plus the
-    /// budgeted session-directory bytes.
-    pub(super) session_live: Arc<Gauge>,
-    pub(super) session_max: Arc<Gauge>,
-    pub(super) session_fs_bytes: Arc<Gauge>,
+    /// The `/render/image` path's PNG encodes; pipeline runs add theirs
+    /// to the same series.
+    pub(super) png_encodes: Arc<Counter>,
+    pub(super) png_encode_micros: Arc<Counter>,
     pub(super) request_micros: Arc<Histogram>,
     /// Time from request arrival to the first flushed entry chunk
     /// (progressive delivery) or to the complete response (batch).
@@ -112,18 +101,13 @@ impl ProxyMetrics {
             full_renders: m.counter("msite_proxy_full_renders_total", &[]),
             lightweight: m.counter("msite_proxy_lightweight_total", &[]),
             origin_fetches: m.counter("msite_proxy_origin_fetches_total", &[]),
-            sessions_created: m.counter("msite_proxy_sessions_created_total", &[]),
             stale_served: m.counter("msite_proxy_stale_served_total", &[]),
             engine_fallbacks: m.counter("msite_proxy_engine_fallbacks_total", &[]),
             renders_coalesced: m.counter("msite_proxy_renders_coalesced_total", &[]),
             overload_rejections: m.counter("msite_server_rejected_overload_total", &[]),
-            subtrees_reused: m.counter("msite_subtrees_reused_total", &[]),
-            subtrees_recomputed: m.counter("msite_subtrees_recomputed_total", &[]),
             streamed_responses: m.counter("msite_proxy_streamed_responses_total", &[]),
-            sessions_live: m.gauge("msite_proxy_sessions_live", &[]),
-            session_live: m.gauge("msite_session_live", &[]),
-            session_max: m.gauge("msite_session_max", &[]),
-            session_fs_bytes: m.gauge("msite_session_fs_bytes", &[]),
+            png_encodes: m.counter("msite_png_encodes_total", &[]),
+            png_encode_micros: m.counter("msite_png_encode_micros", &[]),
         }
     }
 }
@@ -150,12 +134,13 @@ pub(super) fn publish_stage_timings_to(
 impl ProxyServer {
     /// Counters so far — a view reconstructed from the registry.
     pub fn stats(&self) -> ProxyStats {
+        let subtrees = self.subtrees.stats();
         ProxyStats {
             requests: self.metrics.requests.get(),
             full_renders: self.metrics.full_renders.get(),
             lightweight: self.metrics.lightweight.get(),
             origin_fetches: self.metrics.origin_fetches.get(),
-            sessions_created: self.metrics.sessions_created.get(),
+            sessions_created: self.sessions.stats().created,
             failures: self
                 .telemetry
                 .metrics
@@ -164,20 +149,10 @@ impl ProxyServer {
             engine_fallbacks: self.metrics.engine_fallbacks.get(),
             renders_coalesced: self.metrics.renders_coalesced.get(),
             overload_rejections: self.metrics.overload_rejections.get(),
-            subtrees_reused: self.metrics.subtrees_reused.get(),
-            subtrees_recomputed: self.metrics.subtrees_recomputed.get(),
+            subtrees_reused: subtrees.hits,
+            subtrees_recomputed: subtrees.misses,
             streamed_responses: self.metrics.streamed_responses.get(),
         }
-    }
-
-    /// Folds connection-level overload rejections (counted by an HTTP
-    /// server with a registry *separate* from this proxy's) into
-    /// [`ProxyStats::overload_rejections`]. `n` is the server's
-    /// cumulative counter; the fold is a monotonic max, so repeated
-    /// polling stays idempotent. A server sharing this proxy's
-    /// [`Telemetry`] updates the counter directly and never needs this.
-    pub fn record_overload_rejections(&self, n: u64) {
-        self.metrics.overload_rejections.fold_to(n);
     }
 
     /// Publishes per-stage pipeline timings into the registry's
@@ -185,88 +160,6 @@ impl ProxyServer {
     /// entry rebuilds (not cache hits) get here.
     pub(super) fn publish_stage_timings(&self, report: &PipelineReport) {
         publish_stage_timings_to(&self.telemetry.metrics, report);
-    }
-
-    /// Copies registry-external counters (cache stats, live sessions)
-    /// into the registry so a scrape sees one consistent surface. The
-    /// cache keeps its own counters for lock-striping reasons; the
-    /// monotonic `fold_to` makes this sync idempotent.
-    fn sync_derived_metrics(&self) {
-        let m = &self.telemetry.metrics;
-        let cache = self.cache.stats();
-        m.counter("msite_cache_hits_total", &[]).fold_to(cache.hits);
-        m.counter("msite_cache_misses_total", &[])
-            .fold_to(cache.misses);
-        m.counter("msite_cache_evictions_total", &[])
-            .fold_to(cache.evictions);
-        m.counter("msite_cache_expirations_total", &[])
-            .fold_to(cache.expirations);
-        m.counter("msite_cache_stale_hits_total", &[])
-            .fold_to(cache.stale_hits);
-        m.counter("msite_cache_coalesced_total", &[])
-            .fold_to(cache.coalesced);
-        let subtrees = self.subtrees.stats();
-        m.counter("msite_subtree_cache_evictions_total", &[])
-            .fold_to(subtrees.evictions);
-        if let Some(disk) = self.cache.disk_stats() {
-            m.counter("msite_disk_hits_total", &[]).fold_to(disk.hits);
-            m.counter("msite_disk_misses_total", &[])
-                .fold_to(disk.misses);
-            m.counter("msite_disk_puts_total", &[]).fold_to(disk.puts);
-            m.counter("msite_disk_put_errors_total", &[])
-                .fold_to(disk.put_errors);
-            m.counter("msite_disk_quarantined_total", &[])
-                .fold_to(disk.quarantined);
-            m.counter("msite_disk_replayed_total", &[])
-                .fold_to(disk.replayed);
-            m.counter("msite_disk_segments_dropped_total", &[])
-                .fold_to(disk.segments_dropped);
-            m.counter("msite_disk_warm_loaded_total", &[])
-                .fold_to(self.cache.warm_loaded());
-            m.gauge("msite_disk_live_bytes", &[])
-                .set(disk.live_bytes as i64);
-        }
-        // SWAR hot-path totals: tokenizer throughput and PNG encode
-        // cost accumulate in process-wide atomics inside their crates;
-        // fold them in so a scrape sees the pair together.
-        m.counter("msite_tokenizer_bytes_total", &[])
-            .fold_to(msite_html::tokenizer::bytes_total());
-        let (png_encodes, png_micros) = msite_render::png::encode_totals();
-        m.counter("msite_png_encodes_total", &[])
-            .fold_to(png_encodes);
-        m.counter("msite_png_encode_micros", &[])
-            .fold_to(png_micros);
-        self.metrics.sessions_live.set(self.sessions.len() as i64);
-        // Session store: gauges plus eviction counters by cause and
-        // per-tenant occupancy. The store keeps its own atomics for
-        // lock-striping reasons; `fold_to` keeps the sync idempotent.
-        let sessions = self.sessions.stats();
-        self.metrics.session_live.set(sessions.live as i64);
-        self.metrics
-            .session_max
-            .set(self.sessions.config().max_sessions as i64);
-        self.metrics
-            .session_fs_bytes
-            .set(self.fs.session_bytes() as i64);
-        m.gauge("msite_session_fs_budget", &[])
-            .set(self.sessions.config().fs_byte_budget as i64);
-        m.counter("msite_session_created_total", &[])
-            .fold_to(sessions.created);
-        m.counter("msite_session_destroyed_total", &[])
-            .fold_to(sessions.destroyed);
-        for (cause, value) in [
-            ("lru", sessions.evicted_lru),
-            ("quota", sessions.evicted_quota),
-            ("expired", sessions.evicted_expired),
-            ("fs_bytes", sessions.evicted_fs_bytes),
-        ] {
-            m.counter("msite_session_evictions_total", &[("cause", cause)])
-                .fold_to(value);
-        }
-        for (tenant, live, _, _) in self.sessions.tenant_occupancy() {
-            m.gauge("msite_session_tenant_live", &[("tenant", &tenant)])
-                .set(live as i64);
-        }
     }
 
     /// Routes the observability endpoints — `GET /metrics`,
@@ -285,7 +178,6 @@ impl ProxyServer {
 
     /// `GET /metrics`: the registry's stable text exposition.
     fn serve_metrics(&self) -> Response {
-        self.sync_derived_metrics();
         let text = self.telemetry.metrics.render_text();
         Response::bytes(
             "text/plain; version=0.0.4; charset=utf-8",
@@ -299,7 +191,6 @@ impl ProxyServer {
     /// overloaded` when the serving tier's queue is at its depth.
     fn serve_healthz(&self) -> Response {
         use crate::error::ERROR_HEADER;
-        self.sync_derived_metrics();
         let m = &self.telemetry.metrics;
         let host = Url::parse(&self.spec.page_url)
             .map(|u| u.host().to_string())

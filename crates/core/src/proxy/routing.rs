@@ -43,11 +43,6 @@ impl ProxyServer {
         let (session, created) = self
             .sessions
             .get_or_create(cookie_value.as_deref(), &self.tenant);
-        if created {
-            self.metrics.sessions_created.inc();
-        }
-        self.metrics.sessions_live.set(self.sessions.len() as i64);
-        self.metrics.session_live.set(self.sessions.len() as i64);
         let session_id = session.lock().id.clone();
         let attach_cookie = |mut response: Response| -> Response {
             if created {
@@ -93,7 +88,7 @@ impl ProxyServer {
                 // Tiered entries are cached per tier and always built
                 // on the batch path; the streaming producer's cache key
                 // is tier-less, so it only serves tier-less specs.
-                if tier.is_none() && self.config.streaming && streaming::wants_stream(request) {
+                if tier.is_none() && streaming::wants_stream(request) {
                     match self.streamed_entry(&session, deadline) {
                         Ok(r) => r,
                         Err(err) => fail(err),

@@ -346,17 +346,6 @@ fn stats_distinguish_render_paths() {
 }
 
 #[test]
-fn overload_rejections_fold_idempotently() {
-    let (_site, proxy) = proxy_with_forum();
-    assert_eq!(proxy.stats().overload_rejections, 0);
-    proxy.record_overload_rejections(3);
-    proxy.record_overload_rejections(3); // same cumulative counter
-    assert_eq!(proxy.stats().overload_rejections, 3);
-    proxy.record_overload_rejections(7);
-    assert_eq!(proxy.stats().overload_rejections, 7);
-}
-
-#[test]
 fn streamed_entry_concatenates_to_batch_body() {
     let (_site, proxy) = proxy_with_forum();
     // Batch first, on a fresh twin proxy, so both runs start cold.

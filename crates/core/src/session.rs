@@ -50,6 +50,7 @@
 use msite_net::{CookieJar, Prng};
 use msite_support::bytes::Bytes;
 use msite_support::sync::Mutex;
+use msite_support::telemetry::{Counter, Gauge, MetricsRegistry};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -142,7 +143,9 @@ impl Default for SessionStoreConfig {
     }
 }
 
-/// Counter snapshot of a [`SessionStore`]. The conservation invariant
+/// Counter snapshot of a [`SessionStore`]: a read-back of the
+/// `msite_session_*` series it updates in the registry it was built
+/// with. The conservation invariant
 /// `live + destroyed + evicted_total() == created` holds whenever the
 /// store is quiescent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -170,11 +173,39 @@ impl SessionStoreStats {
     }
 }
 
+/// A count the store bounds itself by (live sessions, a tenant's live
+/// sessions, session-directory bytes), published to a registry gauge.
+/// The count stays private so stores that share a registry never share
+/// bounds; the gauge moves by the same steps at the same sites.
+struct Occupancy {
+    count: AtomicI64,
+    gauge: Arc<Gauge>,
+}
+
+impl Occupancy {
+    fn new(gauge: Arc<Gauge>) -> Occupancy {
+        Occupancy {
+            count: AtomicI64::new(0),
+            gauge,
+        }
+    }
+
+    fn add(&self, n: i64) {
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.gauge.add(n);
+    }
+
+    fn get(&self) -> i64 {
+        self.count.load(Ordering::Relaxed)
+    }
+}
+
 /// Per-tenant accounting, shared between the slot (for O(1) decrement
 /// on eviction) and the tenant registry.
 struct TenantState {
     name: String,
-    live: AtomicI64,
+    /// `msite_session_tenant_live{tenant}`.
+    live: Occupancy,
     created: AtomicU64,
     evicted: AtomicU64,
 }
@@ -216,13 +247,15 @@ pub struct SessionStore {
     fs: Arc<SessionFs>,
     id_source: Mutex<Prng>,
     tenants: Mutex<HashMap<String, Arc<TenantState>>>,
-    live: AtomicI64,
-    created: AtomicU64,
-    destroyed: AtomicU64,
-    evicted_lru: AtomicU64,
-    evicted_quota: AtomicU64,
-    evicted_expired: AtomicU64,
-    evicted_fs_bytes: AtomicU64,
+    /// Interns the per-tenant live gauges as tenants appear.
+    registry: Arc<MetricsRegistry>,
+    /// `msite_session_live`: the admission reservation count.
+    live: Occupancy,
+    created: Arc<Counter>,
+    destroyed: Arc<Counter>,
+    /// `msite_session_evictions_total{cause}`, in [`EvictCause::all`]
+    /// order.
+    evicted: [Arc<Counter>; 4],
     /// Test/harness clock offset (micros) added to `Instant::now()`, so
     /// TTL behavior can be driven without real sleeps.
     time_offset_micros: AtomicU64,
@@ -231,22 +264,40 @@ pub struct SessionStore {
 
 impl SessionStore {
     /// Creates a store over `fs` (evicted sessions' directories are
-    /// wiped there).
+    /// wiped there) that counts into a private registry.
     pub fn new(config: SessionStoreConfig, fs: Arc<SessionFs>) -> SessionStore {
+        SessionStore::with_metrics(config, fs, Arc::new(MetricsRegistry::new()))
+    }
+
+    /// Creates a store over `fs` that counts its `msite_session_*`
+    /// series into `registry`: created, destroyed and evicted-by-cause
+    /// counters, live and per-tenant live gauges, and the configured
+    /// `msite_session_max` / `msite_session_fs_budget`, set here once.
+    pub fn with_metrics(
+        config: SessionStoreConfig,
+        fs: Arc<SessionFs>,
+        registry: Arc<MetricsRegistry>,
+    ) -> SessionStore {
         let shard_count = (config.max_sessions / 32).clamp(1, 16);
+        registry
+            .gauge("msite_session_max", &[])
+            .set(config.max_sessions as i64);
+        registry
+            .gauge("msite_session_fs_budget", &[])
+            .set(config.fs_byte_budget as i64);
         SessionStore {
             shards: (0..shard_count)
                 .map(|_| Mutex::new(ShardInner::default()))
                 .collect(),
             id_source: Mutex::new(Prng::new(config.seed)),
             tenants: Mutex::new(HashMap::new()),
-            live: AtomicI64::new(0),
-            created: AtomicU64::new(0),
-            destroyed: AtomicU64::new(0),
-            evicted_lru: AtomicU64::new(0),
-            evicted_quota: AtomicU64::new(0),
-            evicted_expired: AtomicU64::new(0),
-            evicted_fs_bytes: AtomicU64::new(0),
+            live: Occupancy::new(registry.gauge("msite_session_live", &[])),
+            created: registry.counter("msite_session_created_total", &[]),
+            destroyed: registry.counter("msite_session_destroyed_total", &[]),
+            evicted: EvictCause::all().map(|cause| {
+                registry.counter("msite_session_evictions_total", &[("cause", cause.name())])
+            }),
+            registry,
             time_offset_micros: AtomicU64::new(0),
             evict_hooks: Mutex::new(Vec::new()),
             config,
@@ -317,7 +368,10 @@ impl SessionStore {
         }
         let state = Arc::new(TenantState {
             name: tenant.to_string(),
-            live: AtomicI64::new(0),
+            live: Occupancy::new(
+                self.registry
+                    .gauge("msite_session_tenant_live", &[("tenant", tenant)]),
+            ),
             created: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
         });
@@ -329,7 +383,7 @@ impl SessionStore {
     /// evicting within bounds first (see the module docs).
     pub fn create(&self, tenant: &str) -> Arc<Mutex<Session>> {
         let tenant_state = self.tenant_state(tenant);
-        self.created.fetch_add(1, Ordering::Relaxed);
+        self.created.inc();
         tenant_state.created.fetch_add(1, Ordering::Relaxed);
 
         // Reservation: count ourselves live first, then evict while any
@@ -338,15 +392,15 @@ impl SessionStore {
         // A full-share quota equals the global bound and is subsumed by
         // it (those evictions are plain LRU, not quota enforcement).
         let quota = self.tenant_quota();
-        tenant_state.live.fetch_add(1, Ordering::Relaxed);
+        tenant_state.live.add(1);
         if quota < self.config.max_sessions {
-            while tenant_state.live.load(Ordering::Relaxed) > quota as i64 {
+            while tenant_state.live.get() > quota as i64 {
                 if !self.evict_one(Some(&tenant_state), EvictCause::Quota) {
                     break;
                 }
             }
         }
-        self.live.fetch_add(1, Ordering::Relaxed);
+        self.live.add(1);
         // Loop until the bound holds again rather than evicting exactly
         // once: a concurrent eviction can race this one for the same
         // victim, and a single losing attempt would strand the store
@@ -354,7 +408,7 @@ impl SessionStore {
         // whichever creator still sees an excess claims the next
         // victim; when both scans find nothing the excess is purely
         // other creators' reservations, which they settle themselves.
-        while self.live.load(Ordering::Relaxed) > self.config.max_sessions as i64 {
+        while self.live.get() > self.config.max_sessions as i64 {
             // The global bound always claims its victim from the most
             // occupied tenant, so a saturated tenant cannot push anyone
             // else's sessions out.
@@ -469,7 +523,7 @@ impl SessionStore {
                 None => return false,
             }
         };
-        self.destroyed.fetch_add(1, Ordering::Relaxed);
+        self.destroyed.inc();
         self.finish_removal(removed, None);
         true
     }
@@ -481,8 +535,8 @@ impl SessionStore {
             .values()
             .max_by(|a, b| {
                 a.live
-                    .load(Ordering::Relaxed)
-                    .cmp(&b.live.load(Ordering::Relaxed))
+                    .get()
+                    .cmp(&b.live.get())
                     .then_with(|| b.name.cmp(&a.name))
             })
             .map(Arc::clone)
@@ -549,17 +603,11 @@ impl SessionStore {
     /// Completes a removal outside any shard lock: counter upkeep,
     /// lazy directory teardown, and eviction hooks.
     fn finish_removal(&self, removed: Removed, cause: Option<EvictCause>) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
-        removed.tenant.live.fetch_sub(1, Ordering::Relaxed);
+        self.live.add(-1);
+        removed.tenant.live.add(-1);
         if let Some(cause) = cause {
             removed.tenant.evicted.fetch_add(1, Ordering::Relaxed);
-            let counter = match cause {
-                EvictCause::Lru => &self.evicted_lru,
-                EvictCause::Quota => &self.evicted_quota,
-                EvictCause::Expired => &self.evicted_expired,
-                EvictCause::FsBytes => &self.evicted_fs_bytes,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
+            self.evicted[cause as usize].inc();
         }
         self.fs.remove_session(&removed.id);
         let hooks: Vec<EvictHook> = self.evict_hooks.lock().clone();
@@ -678,7 +726,7 @@ impl SessionStore {
 
     /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.live.load(Ordering::Relaxed).max(0) as usize
+        self.live.get().max(0) as usize
     }
 
     /// True when no sessions exist.
@@ -691,7 +739,7 @@ impl SessionStore {
         self.tenants
             .lock()
             .get(tenant)
-            .map(|t| t.live.load(Ordering::Relaxed).max(0) as usize)
+            .map(|t| t.live.get().max(0) as usize)
             .unwrap_or(0)
     }
 
@@ -705,7 +753,7 @@ impl SessionStore {
             .map(|t| {
                 (
                     t.name.clone(),
-                    t.live.load(Ordering::Relaxed).max(0) as usize,
+                    t.live.get().max(0) as usize,
                     t.created.load(Ordering::Relaxed),
                     t.evicted.load(Ordering::Relaxed),
                 )
@@ -715,16 +763,19 @@ impl SessionStore {
         rows
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot, read back from the registry series. When
+    /// several stores share a registry the series, and so these
+    /// fields, cover all of them; [`Self::len`] stays this store's own.
     pub fn stats(&self) -> SessionStoreStats {
+        let [lru, quota, expired, fs_bytes] = &self.evicted;
         SessionStoreStats {
-            created: self.created.load(Ordering::Relaxed),
-            live: self.len() as u64,
-            destroyed: self.destroyed.load(Ordering::Relaxed),
-            evicted_lru: self.evicted_lru.load(Ordering::Relaxed),
-            evicted_quota: self.evicted_quota.load(Ordering::Relaxed),
-            evicted_expired: self.evicted_expired.load(Ordering::Relaxed),
-            evicted_fs_bytes: self.evicted_fs_bytes.load(Ordering::Relaxed),
+            created: self.created.get(),
+            live: self.live.gauge.get().max(0) as u64,
+            destroyed: self.destroyed.get(),
+            evicted_lru: lru.get(),
+            evicted_quota: quota.get(),
+            evicted_expired: expired.get(),
+            evicted_fs_bytes: fs_bytes.get(),
         }
     }
 
@@ -777,7 +828,8 @@ pub struct SessionFs {
     /// Session directories, sharded by session id (FNV-1a).
     shards: Vec<Mutex<HashMap<String, Dir>>>,
     public: Mutex<HashMap<String, Bytes>>,
-    session_bytes: AtomicU64,
+    /// `msite_session_fs_bytes`: the bytes the store's budget bounds.
+    session_bytes: Occupancy,
     public_bytes: AtomicU64,
 }
 
@@ -790,12 +842,7 @@ const FS_SHARDS: usize = 16;
 
 impl Default for SessionFs {
     fn default() -> Self {
-        SessionFs {
-            shards: (0..FS_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            public: Mutex::new(HashMap::new()),
-            session_bytes: AtomicU64::new(0),
-            public_bytes: AtomicU64::new(0),
-        }
+        SessionFs::with_metrics(&MetricsRegistry::new())
     }
 }
 
@@ -807,9 +854,20 @@ fn split_session_path(path: &str) -> Option<(&str, &str)> {
 }
 
 impl SessionFs {
-    /// Creates an empty tree.
+    /// Creates an empty tree that counts into a private registry.
     pub fn new() -> SessionFs {
         SessionFs::default()
+    }
+
+    /// Creates an empty tree that publishes its session-directory
+    /// bytes as the `msite_session_fs_bytes` gauge of `registry`.
+    pub fn with_metrics(registry: &MetricsRegistry) -> SessionFs {
+        SessionFs {
+            shards: (0..FS_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            public: Mutex::new(HashMap::new()),
+            session_bytes: Occupancy::new(registry.gauge("msite_session_fs_bytes", &[])),
+            public_bytes: AtomicU64::new(0),
+        }
     }
 
     /// Canonical path of a per-user file.
@@ -848,13 +906,7 @@ impl SessionFs {
                     .map(|old| old.len())
                     .unwrap_or(0);
                 dir.bytes = dir.bytes + new_len - old_len;
-                if new_len >= old_len {
-                    self.session_bytes
-                        .fetch_add((new_len - old_len) as u64, Ordering::Relaxed);
-                } else {
-                    self.session_bytes
-                        .fetch_sub((old_len - new_len) as u64, Ordering::Relaxed);
-                }
+                self.session_bytes.add(new_len as i64 - old_len as i64);
             }
             None => {
                 let mut public = self.public.lock();
@@ -893,8 +945,7 @@ impl SessionFs {
         let removed = self.shard_for(session_id).lock().remove(session_id);
         match removed {
             Some(dir) => {
-                self.session_bytes
-                    .fetch_sub(dir.bytes as u64, Ordering::Relaxed);
+                self.session_bytes.add(-(dir.bytes as i64));
                 dir.files.len()
             }
             None => 0,
@@ -917,13 +968,12 @@ impl SessionFs {
 
     /// Total bytes stored (session directories + public cache).
     pub fn total_bytes(&self) -> usize {
-        (self.session_bytes.load(Ordering::Relaxed) + self.public_bytes.load(Ordering::Relaxed))
-            as usize
+        self.session_bytes() + self.public_bytes.load(Ordering::Relaxed) as usize
     }
 
     /// Bytes held by per-session directories (the budgeted portion).
     pub fn session_bytes(&self) -> usize {
-        self.session_bytes.load(Ordering::Relaxed) as usize
+        self.session_bytes.get().max(0) as usize
     }
 
     /// Bytes held by one session's directory.

@@ -248,3 +248,106 @@ fn every_flaky_disk_mode_alone_is_survivable() {
         assert!(entry.status.is_success(), "mode {name} after restart");
     }
 }
+
+/// Every stats field of the render cache, subtree cache, session store
+/// and disk tier against the registry series its component counts
+/// into. No `/metrics` request comes first: the series are current as
+/// the events happen.
+fn assert_registry_matches_stats(proxy: &ProxyServer) {
+    let m = &proxy.telemetry().metrics;
+    let counter = |name: &str| m.counter_value(name, &[]);
+    let gauge = |name: &str| m.gauge_value(name, &[]).max(0) as u64;
+
+    let cache = proxy.cache().stats();
+    assert_eq!(cache.hits, counter("msite_cache_hits_total"));
+    assert_eq!(cache.misses, counter("msite_cache_misses_total"));
+    assert_eq!(cache.evictions, counter("msite_cache_evictions_total"));
+    assert_eq!(cache.expirations, counter("msite_cache_expirations_total"));
+    assert_eq!(cache.stale_hits, counter("msite_cache_stale_hits_total"));
+    assert_eq!(cache.coalesced, counter("msite_cache_coalesced_total"));
+    assert_eq!(
+        proxy.cache().warm_loaded(),
+        counter("msite_disk_warm_loaded_total")
+    );
+
+    let subtrees = proxy.subtree_cache().stats();
+    assert_eq!(subtrees.hits, counter("msite_subtrees_reused_total"));
+    assert_eq!(subtrees.misses, counter("msite_subtrees_recomputed_total"));
+    assert_eq!(
+        subtrees.evictions,
+        counter("msite_subtree_cache_evictions_total")
+    );
+
+    let sessions = proxy.session_stats();
+    assert_eq!(sessions.created, counter("msite_session_created_total"));
+    assert_eq!(sessions.live, gauge("msite_session_live"));
+    assert_eq!(sessions.destroyed, counter("msite_session_destroyed_total"));
+    for (cause, value) in [
+        ("lru", sessions.evicted_lru),
+        ("quota", sessions.evicted_quota),
+        ("expired", sessions.evicted_expired),
+        ("fs_bytes", sessions.evicted_fs_bytes),
+    ] {
+        assert_eq!(
+            value,
+            m.counter_value("msite_session_evictions_total", &[("cause", cause)]),
+            "evictions by {cause}"
+        );
+    }
+
+    let disk = proxy.cache().disk_stats().expect("tier attached");
+    assert_eq!(disk.hits, counter("msite_disk_hits_total"));
+    assert_eq!(disk.misses, counter("msite_disk_misses_total"));
+    assert_eq!(disk.puts, counter("msite_disk_puts_total"));
+    assert_eq!(disk.put_errors, counter("msite_disk_put_errors_total"));
+    assert_eq!(disk.quarantined, counter("msite_disk_quarantined_total"));
+    assert_eq!(disk.replayed, counter("msite_disk_replayed_total"));
+    assert_eq!(
+        disk.segments_dropped,
+        counter("msite_disk_segments_dropped_total")
+    );
+    assert_eq!(disk.live_bytes, gauge("msite_disk_live_bytes"));
+}
+
+/// The artifact bytes the tier indexes, summed by reading each back.
+fn indexed_bytes(proxy: &ProxyServer) -> u64 {
+    let tier = proxy.cache().disk().expect("tier attached");
+    tier.hot_keys(usize::MAX)
+        .iter()
+        .filter_map(|key| tier.get(key))
+        .map(|record| record.value.len() as u64)
+        .sum()
+}
+
+#[test]
+fn registry_matches_stats_without_a_scrape() {
+    let disk = MemDisk::new();
+    let proxy = deploy(Arc::new(disk.clone()));
+    // One cold entry (a miss), two warm ones (hits), three sessions.
+    for _ in 0..3 {
+        let entry = proxy.handle(&entry_request());
+        assert!(entry.status.is_success(), "{}", entry.status);
+    }
+    let cache = proxy.cache().stats();
+    assert_eq!((cache.hits, cache.misses), (2, 1));
+    assert_eq!(proxy.session_stats().created, 3);
+
+    // After the write-behind puts land, the live-bytes gauge holds
+    // exactly the bytes the tier indexes.
+    proxy.cache().flush_disk();
+    assert!(proxy.cache().disk_stats().unwrap().puts > 0);
+    assert_registry_matches_stats(&proxy);
+    let live_bytes = proxy.cache().disk_stats().unwrap().live_bytes;
+    assert!(live_bytes > 0);
+    assert_eq!(live_bytes, indexed_bytes(&proxy));
+    std::mem::forget(proxy);
+
+    // A restart replays the journal into a fresh registry: replayed
+    // records and live bytes are counted at open.
+    let revived = deploy(Arc::new(disk.clone()));
+    assert_registry_matches_stats(&revived);
+    let replayed = revived.cache().disk_stats().unwrap();
+    assert!(replayed.replayed > 0);
+    assert_eq!(replayed.live_bytes, live_bytes);
+    assert_eq!(replayed.live_bytes, indexed_bytes(&revived));
+}

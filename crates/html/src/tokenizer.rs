@@ -8,16 +8,6 @@
 
 use crate::entities;
 use msite_support::swar;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cumulative source bytes handed to [`Tokenizer::new`], exposed as
-/// `msite_tokenizer_bytes_total` by the proxy's observability sync.
-static BYTES_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of source bytes fed through the tokenizer.
-pub fn bytes_total() -> u64 {
-    BYTES_TOTAL.load(Ordering::Relaxed)
-}
 
 /// One lexical token of HTML input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +76,6 @@ pub struct Tokenizer<'a> {
 impl<'a> Tokenizer<'a> {
     /// Creates a tokenizer over `input`.
     pub fn new(input: &'a str) -> Self {
-        BYTES_TOTAL.fetch_add(input.len() as u64, Ordering::Relaxed);
         Tokenizer {
             input,
             pos: 0,

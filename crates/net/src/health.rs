@@ -210,36 +210,6 @@ impl HealthMonitor {
         &self.config
     }
 
-    /// Queue-wait p99 estimate (microseconds) from the non-cumulative
-    /// bucket counts of `msite_server_queue_wait_micros`. Returns the
-    /// upper bound of the bucket holding the 99th percentile (the last
-    /// bound for overflow), 0 with no observations.
-    fn queue_wait_p99(&self) -> u64 {
-        let histogram = self.registry.histogram(
-            "msite_server_queue_wait_micros",
-            &[],
-            msite_support::telemetry::metrics::LATENCY_MICROS_BOUNDS,
-        );
-        let counts = histogram.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let bounds = histogram.bounds();
-        let target = (total as f64 * 0.99).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, count) in counts.iter().enumerate() {
-            seen += count;
-            if seen >= target {
-                return bounds
-                    .get(i)
-                    .copied()
-                    .unwrap_or_else(|| bounds.last().copied().unwrap_or(u64::MAX));
-            }
-        }
-        bounds.last().copied().unwrap_or(u64::MAX)
-    }
-
     /// Runs one deliberation of the control loop: sample, classify,
     /// actuate, publish. Deterministic — tests drive it directly.
     pub fn tick(&self) -> HealthDecision {
@@ -251,7 +221,14 @@ impl HealthMonitor {
             .registry
             .counter_value("msite_server_rejected_overload_total", &[]);
         let breaker_total = self.registry.counter_sum(BREAKER_TRANSITIONS_METRIC);
-        let p99 = self.queue_wait_p99();
+        let p99 = self
+            .registry
+            .histogram(
+                "msite_server_queue_wait_micros",
+                &[],
+                msite_support::telemetry::metrics::LATENCY_MICROS_BOUNDS,
+            )
+            .quantile(0.99);
         // Session pressure: occupancy of the bounded session store, as
         // published by a proxy sharing this registry.
         let session_live = self.registry.gauge_value("msite_session_live", &[]).max(0);

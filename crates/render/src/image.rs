@@ -15,6 +15,7 @@
 use crate::canvas::Canvas;
 use crate::geom::Rect;
 use crate::png;
+use std::time::{Duration, Instant};
 
 /// Output format of the post-processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +65,9 @@ pub struct ProcessedImage {
     pub wire_size: usize,
     /// Format the artifact represents.
     pub format: ImageFormat,
+    /// Wall-clock time spent PNG-encoding `encoded`, so whoever runs
+    /// the post-processor can count the encode against its own metrics.
+    pub encode_time: Duration,
 }
 
 impl ProcessedImage {
@@ -158,32 +162,26 @@ pub fn process(canvas: &Canvas, spec: &PostProcess) -> ProcessedImage {
             work = work.downscale_to_width(new_width);
         }
     }
-    match spec.format {
-        ImageFormat::Png => {
-            let encoded = png::encode(&work);
-            let wire_size = encoded.len();
-            ProcessedImage {
-                canvas: work,
-                encoded,
-                wire_size,
-                format: spec.format,
-            }
-        }
+    let modeled_size = match spec.format {
+        ImageFormat::Png => None,
         ImageFormat::JpegClass { quality } => {
             let quality = quality.clamp(1, 100);
             // Quantization levels track quality: q=100 -> 256 levels,
             // q=10 -> ~26 levels.
             let levels = ((quality as u16 * 256) / 100).clamp(4, 256);
             work.quantize(levels);
-            let wire_size = jpeg_size_model(&work, quality);
-            let encoded = png::encode(&work);
-            ProcessedImage {
-                canvas: work,
-                encoded,
-                wire_size,
-                format: spec.format,
-            }
+            Some(jpeg_size_model(&work, quality))
         }
+    };
+    let started = Instant::now();
+    let encoded = png::encode(&work);
+    let encode_time = started.elapsed();
+    ProcessedImage {
+        wire_size: modeled_size.unwrap_or(encoded.len()),
+        canvas: work,
+        encoded,
+        format: spec.format,
+        encode_time,
     }
 }
 

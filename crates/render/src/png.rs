@@ -8,23 +8,6 @@
 
 use crate::canvas::Canvas;
 use msite_support::swar;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// Cumulative [`encode`] call count, for the `/metrics` exposition.
-static ENCODE_CALLS: AtomicU64 = AtomicU64::new(0);
-/// Cumulative wall-clock microseconds spent inside [`encode`].
-static ENCODE_MICROS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide `(calls, microseconds)` totals across every [`encode`]
-/// call, consumed by the proxy's observability sync so PNG cost shows
-/// up as `msite_png_encodes_total` / `msite_png_encode_micros`.
-pub fn encode_totals() -> (u64, u64) {
-    (
-        ENCODE_CALLS.load(Ordering::Relaxed),
-        ENCODE_MICROS.load(Ordering::Relaxed),
-    )
-}
 
 /// Encodes a canvas as a truecolor (8-bit RGB) PNG.
 ///
@@ -39,7 +22,6 @@ pub fn encode_totals() -> (u64, u64) {
 /// assert!(bytes.len() < 64 * 64 * 3); // compression actually happened
 /// ```
 pub fn encode(canvas: &Canvas) -> Vec<u8> {
-    let started = Instant::now();
     // Raw scanlines, each prefixed with filter type 0 (None).
     let width = canvas.width() as usize;
     let stride = width * 3;
@@ -59,8 +41,6 @@ pub fn encode(canvas: &Canvas) -> Vec<u8> {
     write_chunk(&mut out, b"IHDR", &ihdr);
     write_chunk(&mut out, b"IDAT", &compressed);
     write_chunk(&mut out, b"IEND", &[]);
-    ENCODE_CALLS.fetch_add(1, Ordering::Relaxed);
-    ENCODE_MICROS.fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
     out
 }
 

@@ -38,15 +38,6 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Fold an externally-maintained *cumulative* total into this
-    /// counter: the counter becomes `max(current, n)`. Idempotent —
-    /// folding the same total twice does not double-count — which is
-    /// exactly what a periodic "copy the server's lifetime totals into
-    /// the proxy's registry" sync needs.
-    pub fn fold_to(&self, n: u64) {
-        self.value.fetch_max(n, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -149,6 +140,29 @@ impl Histogram {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
+    }
+
+    /// The upper bound of the bucket holding the `q`-quantile (`q` in
+    /// [0, 1]): the last bound when that bucket is the overflow bucket,
+    /// 0 when nothing has been observed.
+    pub fn quantile(&self, q: f64) -> u64 {
+        let counts = self.bucket_counts();
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let target = (total as f64 * q).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (bound, count) in self.bounds.iter().zip(&counts) {
+            seen += count;
+            if seen >= target {
+                return *bound;
+            }
+        }
+        *self
+            .bounds
+            .last()
+            .expect("histograms have at least one bound")
     }
 }
 
@@ -525,18 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_to_is_idempotent_and_monotonic() {
-        let c = Counter::default();
-        c.fold_to(3);
-        c.fold_to(3);
-        assert_eq!(c.get(), 3);
-        c.fold_to(7);
-        assert_eq!(c.get(), 7);
-        c.fold_to(5);
-        assert_eq!(c.get(), 7);
-    }
-
-    #[test]
     fn histogram_conservation() {
         let reg = MetricsRegistry::new();
         let h = reg.histogram("lat_micros", &[], &[10, 100, 1000]);
@@ -547,6 +549,20 @@ mod tests {
         assert_eq!(h.bucket_counts().iter().sum::<u64>(), 6);
         assert_eq!(h.bucket_counts(), vec![3, 2, 0, 1]);
         assert_eq!(h.sum(), 1 + 10 + 11 + 100 + 5000);
+    }
+
+    #[test]
+    fn quantile_picks_the_bucket_bound() {
+        let observed = |values: Vec<u64>| {
+            let h = Histogram::new(&[10, 100, 1000]);
+            values.into_iter().for_each(|v| h.observe(v));
+            h
+        };
+        let skewed = observed([vec![5; 98], vec![50, 500]].concat());
+        assert_eq!(skewed.quantile(0.50), 10);
+        assert_eq!(skewed.quantile(0.99), 100);
+        assert_eq!(observed(vec![5_000; 5]).quantile(0.99), 1000);
+        assert_eq!(observed(vec![]).quantile(0.99), 0);
     }
 
     #[test]

@@ -59,31 +59,6 @@ fn counters_are_monotonic_and_lossless_under_concurrency() {
 }
 
 #[test]
-fn fold_to_never_regresses_under_racing_folds() {
-    prop::check("fold_to monotonicity", 32, 0x7E1E_0002, |g| {
-        let registry = MetricsRegistry::new();
-        let counter = registry.counter("prop_folded_total", &[]);
-        let folds: Vec<u64> = g.vec(1, 48, |g| g.range_u64(0, 1_000));
-        let max = folds.iter().copied().max().unwrap_or(0);
-        std::thread::scope(|scope| {
-            for chunk in folds.chunks(8) {
-                let counter = Arc::clone(&counter);
-                scope.spawn(move || {
-                    for &v in chunk {
-                        counter.fold_to(v);
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            counter.get(),
-            max,
-            "racing folds must settle on the largest external total"
-        );
-    });
-}
-
-#[test]
 fn histogram_conserves_bucket_counts_and_sum() {
     prop::check("histogram conservation", 32, 0x7E1E_0003, |g| {
         let registry = MetricsRegistry::new();

@@ -245,18 +245,18 @@ fn entry_flow_reports_trace_and_exact_metrics() {
     let samples = stack.scrape();
     assert_eq!(sample(&samples, "msite_proxy_requests_total"), 2);
     assert_eq!(sample(&samples, "msite_proxy_origin_fetches_total"), 1);
-    assert_eq!(sample(&samples, "msite_proxy_sessions_created_total"), 1);
+    assert_eq!(sample(&samples, "msite_session_created_total"), 1);
     assert_eq!(sample(&samples, "msite_cache_misses_total"), 1);
     assert_eq!(sample(&samples, "msite_cache_hits_total"), 1);
     assert_eq!(sample(&samples, "msite_proxy_request_micros_count"), 2);
-    assert_eq!(sample(&samples, "msite_proxy_sessions_live"), 1);
+    assert_eq!(sample(&samples, "msite_session_live"), 1);
     assert!(sample(&samples, "msite_server_served_total") >= 3);
-    // The SWAR hot-path counters are process-wide and folded in at
-    // scrape time: one origin fetch means the tokenizer chewed real
-    // bytes, and the snapshot path clocked at least one PNG encode.
+    // One origin fetch means the tokenizer chewed real bytes; this
+    // spec renders no snapshot and pre-renders nothing, so no PNG was
+    // encoded.
     assert!(sample(&samples, "msite_tokenizer_bytes_total") > 0);
-    assert!(sample(&samples, "msite_png_encodes_total") > 0);
-    assert!(sample(&samples, "msite_png_encode_micros") > 0);
+    assert_eq!(sample(&samples, "msite_png_encodes_total"), 0);
+    assert_eq!(sample(&samples, "msite_png_encode_micros"), 0);
     // Scrapes themselves must not perturb proxy/cache counters (server
     // connection counters legitimately move — the scrape is a request).
     let again = stack.scrape();
@@ -281,6 +281,57 @@ fn entry_flow_reports_trace_and_exact_metrics() {
     assert!(health.headers.get(DEGRADED_HEADER).is_none());
     assert!(health.headers.get(ERROR_HEADER).is_none());
     stack.down();
+}
+
+// --- Scenario 1b: two proxies in one process keep separate counts ---
+
+#[test]
+fn two_proxies_count_independently() {
+    // Proxy A serves over TCP with its own telemetry; proxy B, built in
+    // the same process with another telemetry, serves nothing.
+    let a = Stack::up(
+        spec_for("http://a.test/", true),
+        healthy_page(),
+        fast_config(),
+    );
+    let b = ProxyServer::new(
+        spec_for("http://b.test/", true),
+        healthy_page(),
+        fast_config(),
+    );
+
+    // A: cold entry (renders and encodes the snapshot), the snapshot
+    // image, then a subpage.
+    let entry = http_get(&a.url("/m/t/")).unwrap();
+    assert!(entry.status.is_success());
+    let cookie = cookie_of(&entry);
+    for path in ["/m/t/img/snapshot.png", "/m/t/s/main.html"] {
+        let response = get_with_cookie(&a.url(path), &cookie);
+        assert!(response.status.is_success(), "{path}: {}", response.status);
+    }
+    let a_samples = a.scrape();
+    assert_eq!(sample(&a_samples, "msite_png_encodes_total"), 1);
+    assert!(sample(&a_samples, "msite_png_encode_micros") > 0);
+    assert!(sample(&a_samples, "msite_tokenizer_bytes_total") > 0);
+    assert_eq!(sample(&a_samples, "msite_session_created_total"), 1);
+
+    // B's scrape runs in-process, so not even a server connection
+    // counter moves: every counter series it exposes must read 0.
+    let scrape = b.handle(&Request::get("http://p/metrics").unwrap());
+    assert!(scrape.status.is_success());
+    let text = scrape.body_text();
+    let counters: Vec<&str> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.strip_suffix(" counter"))
+        .collect();
+    assert!(!counters.is_empty(), "B exposes no counters: {text}");
+    for (series, value) in parse_exposition(&text) {
+        let name = series.split('{').next().unwrap_or(&series);
+        if counters.contains(&name) {
+            assert_eq!(value, 0, "proxy B reports A's work in {series}");
+        }
+    }
+    a.down();
 }
 
 // --- Scenario 2: cold stampede over TCP coalesces exactly ---
@@ -338,7 +389,7 @@ fn cold_stampede_over_tcp_coalesces_exactly() {
         CLIENTS as i64 - 1
     );
     assert_eq!(
-        sample(&samples, "msite_proxy_sessions_created_total"),
+        sample(&samples, "msite_session_created_total"),
         CLIENTS as i64,
         "coalescing must not merge sessions"
     );
@@ -648,7 +699,7 @@ fn forum_flow_header_contracts_and_stage_spans() {
         sample(&samples, "msite_proxy_errors_total{reason=\"not-found\"}"),
         1
     );
-    assert_eq!(sample(&samples, "msite_proxy_sessions_created_total"), 1);
+    assert_eq!(sample(&samples, "msite_session_created_total"), 1);
     assert!(sample(&samples, "msite_proxy_full_renders_total") >= 1);
     assert!(sample(&samples, "msite_stage_micros_count{stage=\"render\"}") >= 1);
 
