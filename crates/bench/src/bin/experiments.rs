@@ -683,16 +683,6 @@ fn main() -> ExitCode {
                         format!("{:.2}x", result.zlib_speedup),
                         "-".into(),
                     ],
-                    vec![
-                        "selector bloom prefilter".into(),
-                        format!("{:.2}x", result.selector_speedup),
-                        "-".into(),
-                    ],
-                    vec![
-                        "strip_tag batch classifier".into(),
-                        format!("{:.2}x", result.strip_tag_speedup),
-                        "-".into(),
-                    ],
                 ],
             );
             match hotpath::check_shape(&result) {

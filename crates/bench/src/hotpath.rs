@@ -1,8 +1,8 @@
 //! The PR-9 SWAR hot-path experiment: every word-at-a-time fast path
 //! must actually beat its scalar twin, not just match it byte-for-byte.
 //!
-//! The identity gates (property suites in `support`, `html`,
-//! `selectors`, `render`, and the root `tests/`) prove the fast and
+//! The identity gates (property suites in `support`, `html`, `render`,
+//! and the root `tests/`) prove the fast and
 //! scalar paths produce identical output; this experiment prices them.
 //! Two hard gates ride in `check_shape`:
 //!
@@ -12,18 +12,15 @@
 //! 2. **CRC32** (slicing-by-8) must run at least [`CRC_GATE`]× faster
 //!    than the per-bit reference.
 //!
-//! The remaining rows (Adler-32, full zlib, selector bloom prefilter,
-//! batch `strip_tag`) are reported without hard gates — they are
-//! workload-shaped and noisier, but `experiments --bench-json=<path>`
+//! The remaining rows (Adler-32, full zlib) are reported without hard
+//! gates — they are workload-shaped and noisier, but `experiments --bench-json=<path>`
 //! records the numbers so the trajectory stays visible across PRs.
 
 use crate::fixtures;
-use msite::pipeline::soa;
+use msite_html::entities;
 use msite_html::tokenizer::Tokenizer;
-use msite_html::{entities, parse_document};
 use msite_net::{Origin, Request};
 use msite_render::png;
-use msite_selectors::SelectorList;
 use msite_support::json::{obj, ToJson, Value};
 use std::time::{Duration, Instant};
 
@@ -54,10 +51,6 @@ pub struct HotpathResult {
     pub adler32_speedup: f64,
     /// Full zlib compress speedup (word match extension + code table).
     pub zlib_speedup: f64,
-    /// Selector matching speedup from the bloom prefilter.
-    pub selector_speedup: f64,
-    /// Filter-stage `strip_tag` speedup from the batch classifier.
-    pub strip_tag_speedup: f64,
     /// The tokenizer gate this run was held to.
     pub tokenizer_gate: f64,
     /// The CRC gate this run was held to.
@@ -176,35 +169,12 @@ pub fn run(iterations: usize) -> HotpathResult {
     let zlib_fast = best_of(iterations, || png::zlib_compress(&blob).len());
     let zlib_scalar = best_of(iterations, || png::zlib_compress_scalar(&blob).len());
 
-    // Selector matching over the parsed forum page: one mixed list
-    // where most alternatives miss most elements — the prefilter's
-    // home turf, since a single element hash buys eight subset tests.
-    let doc = parse_document(&docs[0]);
-    let list = SelectorList::parse(
-        "div.wrap .x, #nav a, .row .cell, table td, #login, .leaderboard, nav span, form.quick input",
-    )
-    .expect("bench selector parses");
-    let sel_fast = best_of(iterations, || list.select(&doc, doc.root()).len());
-    let sel_scalar = best_of(iterations, || list.select_scalar(&doc, doc.root()).len());
-
-    // Filter-stage strip_tag over every corpus page.
-    let strip_fast = best_of(iterations, || {
-        docs.iter().map(|d| soa::strip_tag(d, "script").len()).sum()
-    });
-    let strip_scalar = best_of(iterations, || {
-        docs.iter()
-            .map(|d| soa::strip_tag_scalar(d, "script").len())
-            .sum()
-    });
-
     // The sinks must agree between twins — a divergence here means an
     // identity gate has a hole.
     assert_eq!(tok_fast.1, tok_scalar.1, "tokenizer twins diverged");
     assert_eq!(crc_fast.1, crc_scalar.1, "crc twins diverged");
     assert_eq!(adler_fast.1, adler_scalar.1, "adler twins diverged");
     assert_eq!(zlib_fast.1, zlib_scalar.1, "zlib twins diverged");
-    assert_eq!(sel_fast.1, sel_scalar.1, "selector twins diverged");
-    assert_eq!(strip_fast.1, strip_scalar.1, "strip_tag twins diverged");
 
     let mb = |bytes: usize, d: Duration| bytes as f64 / 1e6 / d.as_secs_f64().max(1e-12);
     HotpathResult {
@@ -216,8 +186,6 @@ pub fn run(iterations: usize) -> HotpathResult {
         crc32_mb_s: mb(blob.len(), crc_fast.0),
         adler32_speedup: speedup(adler_scalar.0, adler_fast.0),
         zlib_speedup: speedup(zlib_scalar.0, zlib_fast.0),
-        selector_speedup: speedup(sel_scalar.0, sel_fast.0),
-        strip_tag_speedup: speedup(strip_scalar.0, strip_fast.0),
         tokenizer_gate: TOKENIZER_GATE,
         crc_gate: CRC_GATE,
     }
@@ -257,8 +225,6 @@ impl ToJson for HotpathResult {
             ("crc32_mb_s", self.crc32_mb_s.to_json_value()),
             ("adler32_speedup", self.adler32_speedup.to_json_value()),
             ("zlib_speedup", self.zlib_speedup.to_json_value()),
-            ("selector_speedup", self.selector_speedup.to_json_value()),
-            ("strip_tag_speedup", self.strip_tag_speedup.to_json_value()),
             ("tokenizer_gate", self.tokenizer_gate.to_json_value()),
             ("crc_gate", self.crc_gate.to_json_value()),
             ("within_gates", self.within_gates().to_json_value()),

@@ -108,7 +108,7 @@ pub fn run_ttfb(sections: usize, trials: usize) -> TtfbResult {
         let mut on_unit = |unit: EmitUnit| {
             if let EmitUnit::Entry(html) = unit {
                 first_unit.get_or_insert_with(|| start.elapsed());
-                entry_chunks.push_str(&html);
+                entry_chunks.push_str(html);
             }
         };
         adapt_streaming(&spec, &page, &ctx, &mut on_unit).expect("fixture adapts cleanly");

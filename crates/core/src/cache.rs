@@ -15,16 +15,20 @@
 //!
 //! # Single flight
 //!
-//! Concurrent misses on one key do not stampede the producer. The first
-//! caller becomes the *leader*: it registers an in-flight marker and
-//! runs `produce()` outside the lock. Every other caller becomes a
-//! *waiter*, blocking on the flight's [`OnceValue`] rendezvous and
-//! sharing the leader's result (counted in [`CacheStats::coalesced`]).
-//! Waiters can bound their wait: on expiry they fall back to a
-//! stale-window entry when one exists, or report [`Flight::TimedOut`]
-//! so the caller can surface a deadline error instead of blocking
-//! forever. A leader that panics abandons its flight; waiters detect
-//! the abandonment and retry, electing a new leader.
+//! Concurrent misses on one key do not stampede the producer.
+//! [`RenderCache::claim`] makes the first caller the *leader*: it
+//! registers an in-flight marker and gets a [`FlightLeader`] guard
+//! back. Every other caller becomes a *waiter*, blocking on the
+//! flight's [`OnceValue`] rendezvous and sharing the leader's result
+//! (counted in [`CacheStats::coalesced`]). The leader completes the
+//! flight with its artifact, or fails it with an error every waiter
+//! receives a clone of. A guard dropped unsettled (a panicking leader,
+//! a streamed response nobody drained) abandons the flight: the
+//! waiters retry and elect a new leader. Waiters can bound their wait:
+//! on expiry they fall back to a stale-window entry when one exists, or
+//! report [`Flight::TimedOut`] so the caller can surface a deadline
+//! error instead of blocking forever. [`RenderCache::render_flight`]
+//! runs a closure under the guard for producers that fit in one call.
 //!
 //! # Lock striping
 //!
@@ -42,6 +46,7 @@ use msite_support::sync::{Mutex, OnceValue};
 use msite_support::telemetry::{Counter, MetricsRegistry};
 use std::any::Any;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -123,8 +128,8 @@ impl Entry {
     }
 }
 
-/// Marker published by [`FlightGuard`] when a leader unwinds without
-/// completing its flight; waiters that see it retry (and may lead).
+/// Marker published when a [`FlightLeader`] is dropped without settling
+/// its flight; waiters that see it retry (and may lead).
 struct LeaderAbandoned;
 
 type FlightError = Arc<dyn Any + Send + Sync>;
@@ -191,7 +196,8 @@ pub enum Lookup {
     Miss,
 }
 
-/// Outcome of a [`RenderCache::render_flight`].
+/// Outcome of a [`RenderCache::render_flight`] or a settled
+/// [`RenderCache::claim`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Flight<E> {
     /// A fresh entry was already cached; no flight was needed.
@@ -221,42 +227,6 @@ pub enum Flight<E> {
     /// The flight's `produce()` failed; leaders report their own error,
     /// waiters a clone of the leader's.
     Failed(E),
-}
-
-/// Removes the flight and publishes [`LeaderAbandoned`] if the leader
-/// unwinds (panics) before completing; disarmed on the success and
-/// error paths, which publish their own result.
-struct FlightGuard<'a> {
-    shard: &'a Shard,
-    key: &'a str,
-    flight: &'a Arc<InFlight>,
-    armed: bool,
-}
-
-impl FlightGuard<'_> {
-    fn disarm(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let mut inner = self.shard.inner.lock();
-        if inner
-            .flights
-            .get(self.key)
-            .is_some_and(|f| Arc::ptr_eq(f, self.flight))
-        {
-            inner.flights.remove(self.key);
-        }
-        drop(inner);
-        // Wake waiters *after* the registry slot is free, so a retrying
-        // waiter cannot rejoin this dead flight.
-        self.flight.result.set(Err(Arc::new(LeaderAbandoned)));
-    }
 }
 
 /// A concurrent TTL + LRU cache for rendered artifacts, lock-striped
@@ -660,35 +630,10 @@ impl RenderCache {
         }
     }
 
-    /// Fetches, or computes-and-stores on miss, coalescing concurrent
-    /// misses into one `produce()` (single flight). The closure returns
-    /// the artifact plus its production cost.
-    ///
-    /// Expired entries inside the stale window are served directly
-    /// (counting a stale hit) rather than recomputed — the degraded
-    /// answer is preferred over a redundant render here. Callers that
-    /// instead want a fresh render with stale only as a timeout
-    /// fallback use [`Self::render_flight`].
-    pub fn get_or_insert_with(
-        &self,
-        key: &str,
-        ttl: Option<Duration>,
-        produce: impl FnOnce() -> (Bytes, Duration),
-    ) -> Bytes {
-        match self
-            .flight_inner::<std::convert::Infallible, _>(key, ttl, None, true, || Ok(produce()))
-        {
-            Flight::Hit(value)
-            | Flight::Led { value, .. }
-            | Flight::Shared(value)
-            | Flight::Stale { value, .. } => value,
-            Flight::TimedOut => unreachable!("unbounded waits cannot time out"),
-            Flight::Failed(error) => match error {},
-        }
-    }
-
     /// Fetches, or runs a fallible `produce()` exactly once across
-    /// concurrent callers (single flight), with a bounded wait.
+    /// concurrent callers (single flight), with a bounded wait: a thin
+    /// wrapper that runs `produce()` under the guard of a
+    /// [`Self::claim`].
     ///
     /// The first caller to miss becomes the leader and runs `produce()`
     /// outside the cache lock; concurrent callers wait on the flight
@@ -696,11 +641,8 @@ impl RenderCache {
     /// how long a waiter blocks (`None` = indefinitely): on expiry it
     /// falls back to a stale-window entry ([`Flight::Stale`]) or
     /// reports [`Flight::TimedOut`]. A failed `produce()` caches
-    /// nothing and propagates a clone of the error to every waiter.
-    ///
-    /// Unlike [`Self::get_or_insert_with`], an expired-but-stale entry
-    /// does *not* short-circuit the render: freshness is preferred, and
-    /// stale serves only as the fallback.
+    /// nothing and propagates a clone of the error to every waiter; a
+    /// panicking one abandons the flight.
     pub fn render_flight<E>(
         &self,
         key: &str,
@@ -711,30 +653,43 @@ impl RenderCache {
     where
         E: Clone + Send + Sync + 'static,
     {
-        self.flight_inner(key, ttl, wait_budget, false, produce)
+        match RenderCache::claim(self, key, wait_budget) {
+            Claim::Settled(flight) => flight,
+            Claim::Lead(leader) => match produce() {
+                Ok((value, cost)) => {
+                    let shared_with = leader.complete(value.clone(), ttl, cost);
+                    Flight::Led { value, shared_with }
+                }
+                Err(error) => {
+                    leader.fail(error.clone());
+                    Flight::Failed(error)
+                }
+            },
+        }
     }
 
-    fn flight_inner<E, F>(
-        &self,
-        key: &str,
-        ttl: Option<Duration>,
-        wait_budget: Option<Duration>,
-        eager_stale: bool,
-        produce: F,
-    ) -> Flight<E>
+    /// Claims `key`'s single flight. A fresh entry settles the claim as
+    /// [`Flight::Hit`]; a miss with nothing in flight makes this caller
+    /// the leader ([`Claim::Lead`]); a miss while another caller leads
+    /// parks this one on that flight until it settles or `wait_budget`
+    /// (`None` = indefinitely) runs out. An expired-but-stale entry
+    /// never settles a claim by itself: freshness is preferred, and
+    /// stale serves only as the waiter's fallback.
+    ///
+    /// `cache` is any handle to the cache — a borrow, or an `Arc` when
+    /// the leader's guard must outlive the caller's stack frame.
+    pub fn claim<E, C>(cache: C, key: &str, wait_budget: Option<Duration>) -> Claim<E, C>
     where
         E: Clone + Send + Sync + 'static,
-        F: FnOnce() -> Result<(Bytes, Duration), E>,
+        C: Deref<Target = RenderCache>,
     {
         let wait_deadline = wait_budget.map(|b| Instant::now() + b);
-        if self.disk.is_some() {
-            self.promote_for_flight(key);
+        if cache.disk.is_some() {
+            cache.promote_for_flight(key);
         }
-        let shard = self.shard(key);
-        let mut produce = Some(produce);
         let mut counted_miss = false;
         loop {
-            let mut inner = shard.inner.lock();
+            let mut inner = cache.shard(key).inner.lock();
             let now = Instant::now() + inner.time_offset;
             inner.clock += 1;
             let clock = inner.clock;
@@ -744,47 +699,38 @@ impl RenderCache {
                     entry.last_used = clock;
                     let value = entry.value.clone();
                     let cost = entry.cost;
-                    self.metrics.hits.inc();
+                    cache.metrics.hits.inc();
                     inner.amortized += cost;
-                    return Flight::Hit(value);
+                    return Claim::Settled(Flight::Hit(value));
                 }
-                if age > self.stale_window() {
+                if age > cache.stale_window() {
                     inner.entries.remove(key);
-                    self.metrics.expirations.inc();
-                } else if eager_stale {
-                    entry.last_used = clock;
-                    let value = entry.value.clone();
-                    self.metrics.stale_hits.inc();
-                    return Flight::Stale { value, age };
+                    cache.metrics.expirations.inc();
                 }
             }
             if !counted_miss {
-                self.metrics.misses.inc();
+                cache.metrics.misses.inc();
                 counted_miss = true;
             }
-            let joined = match inner.flights.get(key) {
+            let flight = match inner.flights.get(key) {
                 Some(flight) => {
                     flight.waiters.fetch_add(1, Ordering::Relaxed);
-                    Some(Arc::clone(flight))
+                    Arc::clone(flight)
                 }
                 None => {
                     let flight = Arc::new(InFlight::new());
                     inner.flights.insert(key.to_string(), Arc::clone(&flight));
                     drop(inner);
-                    return self.lead(
-                        shard,
-                        key,
-                        ttl,
-                        &flight,
-                        produce
-                            .take()
-                            .expect("produce is consumed only by the leader"),
-                    );
+                    return Claim::Lead(FlightLeader {
+                        cache,
+                        key: key.to_string(),
+                        flight,
+                        settled: false,
+                    });
                 }
             };
             drop(inner);
 
-            let flight = joined.expect("non-leader path always joins");
             let outcome = match wait_deadline {
                 None => Some(flight.result.wait()),
                 Some(deadline) => flight
@@ -793,74 +739,26 @@ impl RenderCache {
             };
             match outcome {
                 Some(Ok(value)) => {
-                    self.metrics.coalesced.inc();
-                    return Flight::Shared(value);
+                    cache.metrics.coalesced.inc();
+                    return Claim::Settled(Flight::Shared(value));
                 }
                 Some(Err(error)) => {
                     if error.is::<LeaderAbandoned>() {
-                        // The leader unwound without an answer; go
+                        // The leader let go without an answer; go
                         // around and possibly lead the retry.
                         continue;
                     }
                     if let Some(error) = error.downcast_ref::<E>() {
-                        return Flight::Failed(error.clone());
+                        return Claim::Settled(Flight::Failed(error.clone()));
                     }
                     // A flight with a different error type raced us on
                     // this key; treat it like an expired wait.
                     if wait_deadline.is_none() {
                         continue;
                     }
-                    return self.stale_or_timed_out(shard, key);
+                    return Claim::Settled(cache.stale_or_timed_out(key));
                 }
-                None => return self.stale_or_timed_out(shard, key),
-            }
-        }
-    }
-
-    /// Leader side of a flight: run `produce()` outside the lock, then
-    /// publish the outcome to the cache and to the flight's waiters.
-    fn lead<E>(
-        &self,
-        shard: &Shard,
-        key: &str,
-        ttl: Option<Duration>,
-        flight: &Arc<InFlight>,
-        produce: impl FnOnce() -> Result<(Bytes, Duration), E>,
-    ) -> Flight<E>
-    where
-        E: Clone + Send + Sync + 'static,
-    {
-        let guard = FlightGuard {
-            shard,
-            key,
-            flight,
-            armed: true,
-        };
-        let outcome = produce();
-        let mut inner = shard.inner.lock();
-        if let Ok((value, cost)) = &outcome {
-            self.insert_locked(shard, &mut inner, key, value.clone(), ttl, *cost);
-        }
-        if inner
-            .flights
-            .get(key)
-            .is_some_and(|f| Arc::ptr_eq(f, flight))
-        {
-            inner.flights.remove(key);
-        }
-        drop(inner);
-        let shared_with = flight.waiters.load(Ordering::Relaxed);
-        match outcome {
-            Ok((value, cost)) => {
-                self.write_behind(key, &value, ttl, cost);
-                flight.result.set(Ok(value.clone()));
-                guard.disarm();
-                Flight::Led { value, shared_with }
-            }
-            Err(error) => {
-                flight.result.set(Err(Arc::new(error.clone())));
-                guard.disarm();
-                Flight::Failed(error)
+                None => return Claim::Settled(cache.stale_or_timed_out(key)),
             }
         }
     }
@@ -869,8 +767,8 @@ impl RenderCache {
     /// serve the stale window if it can, otherwise time out. A fresh
     /// entry can appear here when the flight completed in the same
     /// instant the wait gave up — that still counts as coalesced.
-    fn stale_or_timed_out<E>(&self, shard: &Shard, key: &str) -> Flight<E> {
-        let mut inner = shard.inner.lock();
+    fn stale_or_timed_out<E>(&self, key: &str) -> Flight<E> {
+        let mut inner = self.shard(key).inner.lock();
         let now = Instant::now() + inner.time_offset;
         inner.clock += 1;
         let clock = inner.clock;
@@ -978,103 +876,69 @@ impl RenderCache {
     pub fn amortized_savings(&self) -> Duration {
         self.shards.iter().map(|s| s.inner.lock().amortized).sum()
     }
-
-    /// Tries to become the leader for an *externally produced* render
-    /// of `key` — the hook that lets producers which cannot run inside
-    /// a closure (the streaming pipeline renders unit-by-unit into a
-    /// chunk sink) still participate in single flight.
-    ///
-    /// Returns `None` when a fresh entry already exists (serve it via
-    /// [`Self::lookup`]) or another flight is in progress (join it via
-    /// [`Self::join_flight`] or [`Self::render_flight`]). Returns
-    /// `Some` when this caller won the leadership: it must eventually
-    /// [`ExternalFlight::complete`] the flight, or drop it to abandon
-    /// (waiters then retry and elect a new leader).
-    pub fn try_lead(self: &Arc<Self>, key: &str) -> Option<ExternalFlight> {
-        if self.disk.is_some() {
-            self.promote_for_flight(key);
-        }
-        let shard = self.shard(key);
-        let mut inner = shard.inner.lock();
-        let now = Instant::now() + inner.time_offset;
-        if let Some(entry) = inner.entries.get(key) {
-            if entry.age_past_expiry(now).is_zero() {
-                return None;
-            }
-        }
-        if inner.flights.contains_key(key) {
-            return None;
-        }
-        let flight = Arc::new(InFlight::new());
-        inner.flights.insert(key.to_string(), Arc::clone(&flight));
-        Some(ExternalFlight {
-            cache: Arc::clone(self),
-            key: key.to_string(),
-            flight,
-            completed: false,
-        })
-    }
 }
 
-/// Leadership of a single-flight render whose artifact is produced
-/// outside the cache's closures (see [`RenderCache::try_lead`]).
+/// Outcome of a [`RenderCache::claim`].
+pub enum Claim<E, C: Deref<Target = RenderCache>> {
+    /// This caller leads the flight: it must settle it through the
+    /// guard, or drop the guard to abandon it.
+    Lead(FlightLeader<C>),
+    /// The claim settled without leading: any [`Flight`] but
+    /// [`Flight::Led`].
+    Settled(Flight<E>),
+}
+
+/// Leadership of one single-flight render, handed out by
+/// [`RenderCache::claim`].
 ///
 /// Completing publishes the artifact to the cache (and its disk tier)
-/// and wakes every waiter; dropping without completing abandons the
-/// flight exactly like a panicking closure leader — waiters retry and
-/// elect a new leader.
-pub struct ExternalFlight {
-    cache: Arc<RenderCache>,
+/// and wakes every waiter with it; failing wakes every waiter with a
+/// clone of the error and caches nothing. Dropping the guard unsettled
+/// abandons the flight: waiters retry and elect a new leader.
+pub struct FlightLeader<C: Deref<Target = RenderCache> = Arc<RenderCache>> {
+    cache: C,
     key: String,
     flight: Arc<InFlight>,
-    completed: bool,
+    settled: bool,
 }
 
-impl ExternalFlight {
-    /// The key this flight leads.
-    pub fn key(&self) -> &str {
-        &self.key
-    }
-
-    /// Number of waiters currently parked on this flight.
-    pub fn waiters(&self) -> u64 {
-        self.flight.waiters.load(Ordering::Relaxed)
-    }
-
+impl<C: Deref<Target = RenderCache>> FlightLeader<C> {
     /// Publishes the finished artifact: inserts it into the cache,
     /// writes it behind to the disk tier, and wakes every waiter with
-    /// the value.
-    pub fn complete(mut self, value: impl Into<Bytes>, ttl: Option<Duration>, cost: Duration) {
+    /// the value. Returns how many waiters share it.
+    pub fn complete(
+        mut self,
+        value: impl Into<Bytes>,
+        ttl: Option<Duration>,
+        cost: Duration,
+    ) -> u64 {
         let value = value.into();
-        let shard = self.cache.shard(&self.key);
-        {
-            let mut inner = shard.inner.lock();
-            self.cache
-                .insert_locked(shard, &mut inner, &self.key, value.clone(), ttl, cost);
-            if inner
-                .flights
-                .get(&self.key)
-                .is_some_and(|f| Arc::ptr_eq(f, &self.flight))
-            {
-                inner.flights.remove(&self.key);
-            }
-        }
+        let shared_with = self.release(Some((&value, ttl, cost)));
         self.cache.write_behind(&self.key, &value, ttl, cost);
         self.flight.result.set(Ok(value));
-        self.completed = true;
+        self.settled = true;
+        shared_with
     }
 
-    /// Abandons the flight explicitly (identical to dropping it).
-    pub fn abandon(self) {}
-}
+    /// Fails the flight: caches nothing and wakes every waiter with a
+    /// clone of `error` (waiters claiming with a different error type
+    /// treat it like an expired wait).
+    pub fn fail<E: Clone + Send + Sync + 'static>(mut self, error: E) {
+        self.release(None);
+        self.flight.result.set(Err(Arc::new(error)));
+        self.settled = true;
+    }
 
-impl Drop for ExternalFlight {
-    fn drop(&mut self) {
-        if self.completed {
-            return;
-        }
+    /// Unregisters the flight (inserting `value` under the same lock,
+    /// so no claim sees neither) and returns the waiter count, final
+    /// once the registry slot is gone.
+    fn release(&self, value: Option<(&Bytes, Option<Duration>, Duration)>) -> u64 {
         let shard = self.cache.shard(&self.key);
         let mut inner = shard.inner.lock();
+        if let Some((value, ttl, cost)) = value {
+            self.cache
+                .insert_locked(shard, &mut inner, &self.key, value.clone(), ttl, cost);
+        }
         if inner
             .flights
             .get(&self.key)
@@ -1083,17 +947,27 @@ impl Drop for ExternalFlight {
             inner.flights.remove(&self.key);
         }
         drop(inner);
+        self.flight.waiters.load(Ordering::Relaxed)
+    }
+}
+
+impl<C: Deref<Target = RenderCache>> Drop for FlightLeader<C> {
+    fn drop(&mut self) {
+        if self.settled {
+            return;
+        }
         // Wake waiters *after* the registry slot is free, so a retrying
         // waiter cannot rejoin this dead flight.
+        self.release(None);
         self.flight.result.set(Err(Arc::new(LeaderAbandoned)));
     }
 }
 
-impl std::fmt::Debug for ExternalFlight {
+impl<C: Deref<Target = RenderCache>> std::fmt::Debug for FlightLeader<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExternalFlight")
+        f.debug_struct("FlightLeader")
             .field("key", &self.key)
-            .field("completed", &self.completed)
+            .field("settled", &self.settled)
             .finish()
     }
 }
@@ -1252,7 +1126,16 @@ impl SubtreeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
     use std::sync::Arc;
+
+    /// The artifact an unbounded, infallible flight settles with.
+    fn flight_value(flight: Flight<Infallible>) -> Bytes {
+        match flight {
+            Flight::Hit(value) | Flight::Led { value, .. } | Flight::Shared(value) => value,
+            other => panic!("unbounded infallible flight settled as {other:?}"),
+        }
+    }
 
     #[test]
     fn put_get_round_trip() {
@@ -1304,38 +1187,19 @@ mod tests {
     }
 
     #[test]
-    fn get_or_insert_computes_once() {
+    fn render_flight_computes_once() {
         let cache = RenderCache::new(4);
         let mut calls = 0;
         for _ in 0..3 {
-            let v = cache.get_or_insert_with("k", None, || {
+            let v = cache.render_flight::<Infallible>("k", None, None, || {
                 calls += 1;
-                (Bytes::from_static(b"computed"), Duration::from_millis(100))
+                Ok((Bytes::from_static(b"computed"), Duration::from_millis(100)))
             });
-            assert_eq!(&v[..], b"computed");
+            assert_eq!(&flight_value(v)[..], b"computed");
         }
         assert_eq!(calls, 1);
         // Two hits amortized 100 ms each.
         assert_eq!(cache.amortized_savings(), Duration::from_millis(200));
-    }
-
-    #[test]
-    fn get_or_insert_serves_stale_within_window() {
-        let cache = RenderCache::with_stale_window(4, Duration::from_secs(60));
-        cache.put(
-            "k",
-            b"old".to_vec(),
-            Some(Duration::from_secs(1)),
-            Duration::ZERO,
-        );
-        cache.advance_clock(Duration::from_secs(10));
-        let v = cache.get_or_insert_with("k", None, || {
-            panic!("a stale-window entry must be served, not recomputed")
-        });
-        assert_eq!(&v[..], b"old");
-        let stats = cache.stats();
-        assert_eq!(stats.stale_hits, 1);
-        assert_eq!(stats.misses, 0);
     }
 
     #[test]
@@ -1357,8 +1221,8 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..200 {
                         let key = format!("k{}", (t * 7 + i) % 32);
-                        cache.get_or_insert_with(&key, None, || {
-                            (Bytes::from(vec![t as u8]), Duration::from_millis(1))
+                        cache.render_flight::<Infallible>(&key, None, None, || {
+                            Ok((Bytes::from(vec![t as u8]), Duration::from_millis(1)))
                         });
                     }
                 })

@@ -1,13 +1,23 @@
-//! Emission stage: assemble subpage files, pre-render image subpages,
-//! and build the entry page (snapshot image map or adapted document).
+//! Emission stage: build the entry page (snapshot image map or adapted
+//! document), then assemble subpage files and pre-render image
+//! subpages.
 //!
-//! Subpage work is embarrassingly parallel — each subpage's assembly,
-//! optional image pre-render, and imagemap geometry depend only on its
-//! own builder plus shared read-only state — so this stage fans it out
-//! across the context's worker crew ([`PipelineContext::parallelism`]).
-//! Results are merged back in subpage-key order (the `BTreeMap`
-//! iteration order the serial loop used), so the emitted bundle is
-//! byte-identical to a serial run regardless of thread scheduling.
+//! The stage runs entry-first: the snapshot is processed, the imagemap
+//! geometry computed, and the entry page handed to the run's unit sink
+//! *before* any subpage is assembled, so a progressive transport can
+//! flush the entry to the client while subpage workers are still
+//! running. Subpage and image units are handed over from inside the
+//! fan-out as each worker finishes. A batch run ([`adapt`](super::adapt))
+//! passes a sink that ignores every unit; units borrow the artifacts,
+//! so that sink copies nothing.
+//!
+//! Subpage work is embarrassingly parallel — each subpage's assembly
+//! and optional image pre-render depend only on its own builder plus
+//! shared read-only state — so this stage fans it out across the
+//! context's worker crew ([`PipelineContext::parallelism`]). Results
+//! are merged back in subpage-key order (the `BTreeMap` iteration
+//! order), so the emitted bundle is byte-identical to a serial run
+//! regardless of thread scheduling or of when the sink saw each unit.
 //!
 //! # Incremental re-adaptation
 //!
@@ -19,22 +29,10 @@
 //! the serving base. On a re-run, subpages whose fingerprints match are
 //! handed back without re-assembly or re-render — only changed subtrees
 //! pay the pipeline cost again.
-//!
-//! # Streaming emission
-//!
-//! [`run_streaming`] reorders the stage entry-first: the snapshot is
-//! processed, imagemap geometry fanned out, and the entry page emitted
-//! *before* any subpage is assembled, so a progressive transport can
-//! flush the entry to the client while subpage workers are still
-//! running. Subpage and image units are emitted from inside the fan-out
-//! as each worker finishes. The produced bundle carries the same
-//! artifacts as a batch run (entry bytes identical; per-name files and
-//! images identical), with only `images` vec order differing (snapshot
-//! first instead of last).
 
 use super::edit::{first_id_in_html, inject_into_head, page_title};
 use super::render::Renderer;
-use super::stage::{fan, PipelineState, Stage, StageKind, StageOutcome, SubpageBuilder};
+use super::stage::{fan, PipelineState, StageOutcome, SubpageBuilder};
 use super::{AdaptError, EmitUnit, GeneratedFile, GeneratedImage, PipelineContext};
 use crate::ajax;
 use crate::search::SearchIndex;
@@ -45,9 +43,6 @@ use msite_support::sync::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Produces the bundle's files from the accumulated state.
-pub(crate) struct EmitStage;
-
 /// One subpage's finished artifacts, produced by a fan-out task (and
 /// cached by the subtree tier).
 #[derive(Clone)]
@@ -56,97 +51,38 @@ struct SubpageArtifact {
     image: Option<GeneratedImage>,
 }
 
-impl Stage for EmitStage {
-    fn kind(&self) -> StageKind {
-        StageKind::Emit
-    }
-
-    fn run(&self, state: &mut PipelineState<'_>) -> Result<StageOutcome, AdaptError> {
-        // Pure filter adaptation: the filtered source *is* the entry page.
-        if state.filter_only() {
-            state.entry_html = std::mem::take(&mut state.source);
-            return Ok(StageOutcome::serial(1));
-        }
-
-        let fanned = state.ctx.parallelism.max(1) > 1;
-        let mut parallel_tasks = 0usize;
-        let mut parallel_busy = Duration::ZERO;
-
-        // ---- Subpage files --------------------------------------------
-        // One task per subpage: assemble the HTML and, for pre-rendered
-        // subpages, render + post-process the image (or reuse a cached
-        // artifact whose content fingerprint matches). Merged in key
-        // order.
-        let artifacts: Vec<(Arc<SubpageArtifact>, bool)> = {
-            let ctx = state.ctx;
-            let renderer = &state.renderer;
-            let builders: Vec<&SubpageBuilder> = state.subpages.values().collect();
-            fan(ctx, builders.len(), |index| {
-                build_subpage_cached(builders[index], ctx, renderer)
-            })
-            .into_iter()
-            .map(|(artifact, busy)| {
-                parallel_busy += busy;
-                artifact
-            })
-            .collect()
-        };
-        if fanned {
-            parallel_tasks += artifacts.len();
-        }
-        merge_artifacts(state, artifacts);
-
-        // ---- Entry page -----------------------------------------------
-        let (entry, snapshot_image, entry_fan) = build_entry(state);
-        if let Some(image) = snapshot_image {
-            state.images.push(image);
-            state.stats.images_rendered += 1;
-        }
-        if fanned {
-            parallel_tasks += entry_fan.tasks;
-        }
-        parallel_busy += entry_fan.busy;
-        state.entry_html = entry;
-        Ok(StageOutcome {
-            artifacts: state.subpage_files.len() + 1,
-            parallel_tasks,
-            parallel_busy,
-        })
-    }
-}
-
-/// Streaming variant of the emit stage: emits the entry page (and
-/// snapshot image) through `on_unit` *before* subpage assembly starts,
-/// then emits each subpage's units from inside the fan-out as its
-/// worker finishes. Fills the same [`PipelineState`] fields as the
-/// batch stage.
-pub(crate) fn run_streaming(
+/// Runs the emit stage against `on_unit`: the entry page first, then
+/// the images it references, then each subpage's units as its worker
+/// finishes. Every artifact of the bundle reaches the sink once.
+/// Fills the state's entry, subpage and image fields in the same order
+/// whatever the sink does.
+pub(crate) fn run(
     state: &mut PipelineState<'_>,
-    on_unit: &mut (dyn FnMut(EmitUnit) + Send),
+    on_unit: &mut (dyn FnMut(EmitUnit<'_>) + Send),
 ) -> Result<StageOutcome, AdaptError> {
+    // Pure filter adaptation: the filtered source *is* the entry page.
     if state.filter_only() {
         state.entry_html = std::mem::take(&mut state.source);
-        on_unit(EmitUnit::Entry(state.entry_html.clone()));
+        on_unit(EmitUnit::Entry(&state.entry_html));
         return Ok(StageOutcome::serial(1));
     }
 
-    let fanned = state.ctx.parallelism.max(1) > 1;
-    let mut parallel_tasks = 0usize;
-    let mut parallel_busy = Duration::ZERO;
-
     // ---- Entry page FIRST -----------------------------------------
-    let (entry, snapshot_image, entry_fan) = build_entry(state);
-    if fanned {
-        parallel_tasks += entry_fan.tasks;
-    }
-    parallel_busy += entry_fan.busy;
+    let (entry, snapshot_image) = build_entry(state);
     state.entry_html = entry;
-    on_unit(EmitUnit::Entry(state.entry_html.clone()));
-    if let Some(image) = &snapshot_image {
-        on_unit(EmitUnit::Image(image.clone()));
+    on_unit(EmitUnit::Entry(&state.entry_html));
+    // The entry page references the snapshot and the images the
+    // attribute stage rendered (pre-rendered objects, thumbnails,
+    // fidelity tiers): hand them over right behind it.
+    for image in snapshot_image.iter().chain(&state.images) {
+        on_unit(EmitUnit::Image(image));
     }
 
     // ---- Subpages, emitted as their workers finish ----------------
+    // One task per subpage: assemble the HTML and, for pre-rendered
+    // subpages, render + post-process the image (or reuse a cached
+    // artifact whose content fingerprint matches).
+    let mut parallel_busy = Duration::ZERO;
     let artifacts: Vec<(Arc<SubpageArtifact>, bool)> = {
         let ctx = state.ctx;
         let renderer = &state.renderer;
@@ -156,9 +92,9 @@ pub(crate) fn run_streaming(
             let result = build_subpage_cached(builders[index], ctx, renderer);
             {
                 let mut emit = sink.lock();
-                (*emit)(EmitUnit::Subpage(result.0.file.clone()));
+                (*emit)(EmitUnit::Subpage(&result.0.file));
                 if let Some(image) = &result.0.image {
-                    (*emit)(EmitUnit::Image(image.clone()));
+                    (*emit)(EmitUnit::Image(image));
                 }
             }
             result
@@ -170,12 +106,13 @@ pub(crate) fn run_streaming(
         })
         .collect()
     };
-    if fanned {
-        parallel_tasks += artifacts.len();
-    }
+    let parallel_tasks = if state.ctx.parallelism.max(1) > 1 {
+        artifacts.len()
+    } else {
+        0
+    };
     merge_artifacts(state, artifacts);
-    // The snapshot joins the bundle *after* the subpage images so the
-    // artifact vectors keep the batch stage's ordering exactly.
+    // The snapshot joins the bundle *after* the subpage images.
     if let Some(image) = snapshot_image {
         state.images.push(image);
         state.stats.images_rendered += 1;
@@ -187,22 +124,16 @@ pub(crate) fn run_streaming(
     })
 }
 
-/// Result of the entry-page fan-out bookkeeping.
-struct EntryFan {
-    tasks: usize,
-    busy: Duration,
-}
-
 /// Builds the entry page (snapshot image map or adapted document),
-/// returning the HTML, the processed snapshot image when in snapshot
-/// mode, and the fan-out bookkeeping for the imagemap geometry tasks.
-fn build_entry(state: &mut PipelineState<'_>) -> (String, Option<GeneratedImage>, EntryFan) {
-    let mut entry_fan = EntryFan {
-        tasks: 0,
-        busy: Duration::ZERO,
-    };
+/// returning the HTML and, in snapshot mode, the processed snapshot
+/// image.
+fn build_entry(state: &mut PipelineState<'_>) -> (String, Option<GeneratedImage>) {
     let doc = state.doc.as_mut().expect("dom stage ran before emit");
-    if let (Some(snap), Some(render)) = (&state.spec.snapshot, &state.snapshot_render) {
+    // The snapshot render holds the run's largest allocation, a
+    // full-page canvas. Nothing after the entry page needs it, so it is
+    // freed here: before the subpage work, and before a sink copies
+    // the snapshot into a long-lived store above a dead canvas.
+    if let (Some(snap), Some(render)) = (&state.spec.snapshot, state.snapshot_render.take()) {
         let processed = state.renderer.process(
             &render.canvas,
             &PostProcess {
@@ -216,21 +147,13 @@ fn build_entry(state: &mut PipelineState<'_>) -> (String, Option<GeneratedImage>
         if state.searchable {
             state.search_index = Some(SearchIndex::build(&render.layout, snap.scale));
         }
-        // Imagemap geometry: one task per subpage, merged in key order.
-        let areas: Vec<crate::snapshot::MapArea> = {
-            let ctx = state.ctx;
-            let builders: Vec<&SubpageBuilder> = state.subpages.values().collect();
-            fan(ctx, builders.len(), |index| {
-                subpage_area(builders[index], render, snap.scale, &ctx.base)
-            })
-            .into_iter()
-            .map(|(area, busy)| {
-                entry_fan.busy += busy;
-                area
-            })
-            .collect()
-        };
-        entry_fan.tasks += areas.len();
+        // Imagemap geometry: one id lookup and rect scale per subpage,
+        // in key order.
+        let areas: Vec<crate::snapshot::MapArea> = state
+            .subpages
+            .values()
+            .map(|builder| subpage_area(builder, &render, snap.scale, &state.ctx.base))
+            .collect();
         let entry = crate::snapshot::build_entry_page(&crate::snapshot::EntryPageInput {
             base: state.ctx.base.clone(),
             title: page_title(doc).unwrap_or_else(|| state.spec.page_id.clone()),
@@ -250,7 +173,7 @@ fn build_entry(state: &mut PipelineState<'_>) -> (String, Option<GeneratedImage>
             bytes: processed.encoded,
             cache_ttl: Some(Duration::from_secs(snap.cache_ttl_secs)),
         };
-        (entry, Some(image), entry_fan)
+        (entry, Some(image))
     } else {
         // Non-snapshot mode: the adapted document itself, with the AJAX
         // helper injected when needed.
@@ -260,7 +183,7 @@ fn build_entry(state: &mut PipelineState<'_>) -> (String, Option<GeneratedImage>
                 &format!("<script>{}</script>", ajax::client_helper_script()),
             );
         }
-        (doc.to_html(), None, entry_fan)
+        (doc.to_html(), None)
     }
 }
 

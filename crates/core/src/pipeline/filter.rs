@@ -2,7 +2,6 @@
 //! phase"). When the spec carries only filters the whole adaptation
 //! completes here, "avoiding a DOM parse altogether".
 
-use super::soa::strip_tag;
 use super::stage::{PipelineState, Stage, StageKind, StageOutcome};
 use super::AdaptError;
 use crate::attributes::SourceFilter;
@@ -64,4 +63,41 @@ fn set_title(html: &str, title: &str) -> String {
         }
     }
     html.to_string()
+}
+
+/// Removes every `<tag ...>...</tag>` span (and a bare `<tag ...>` when
+/// unclosed) at source level: lowercase the page once, then repeated
+/// substring searches.
+fn strip_tag(html: &str, tag: &str) -> String {
+    let lower = html.to_ascii_lowercase();
+    let open_pat = format!("<{}", tag.to_ascii_lowercase());
+    let close_pat = format!("</{}>", tag.to_ascii_lowercase());
+    let mut out = String::with_capacity(html.len());
+    let mut pos = 0;
+    while let Some(rel) = lower[pos..].find(&open_pat) {
+        let start = pos + rel;
+        // Guard against matching a prefix (e.g. `<s` matching `<script>`).
+        let after = lower.as_bytes().get(start + open_pat.len());
+        let boundary = matches!(
+            after,
+            Some(b'>') | Some(b' ') | Some(b'\t') | Some(b'\n') | Some(b'\r') | Some(b'/')
+        );
+        if !boundary {
+            out.push_str(&html[pos..start + open_pat.len()]);
+            pos = start + open_pat.len();
+            continue;
+        }
+        out.push_str(&html[pos..start]);
+        match lower[start..].find(&close_pat) {
+            Some(rel_close) => pos = start + rel_close + close_pat.len(),
+            None => match lower[start..].find('>') {
+                Some(rel_gt) => pos = start + rel_gt + 1,
+                None => {
+                    pos = html.len();
+                }
+            },
+        }
+    }
+    out.push_str(&html[pos..]);
+    out
 }

@@ -22,8 +22,6 @@ mod emit;
 mod fetch;
 mod filter;
 mod render;
-#[doc(hidden)]
-pub mod soa;
 mod stage;
 #[cfg(test)]
 mod tests;
@@ -35,7 +33,6 @@ use crate::attributes::AdaptationSpec;
 use crate::search::SearchIndex;
 use attrs::AttributeStage;
 use dom::DomStage;
-use emit::EmitStage;
 use fetch::FetchStage;
 use filter::FilterStage;
 use msite_render::browser::BrowserConfig;
@@ -239,33 +236,34 @@ pub fn adapt_with_report(
     page_html: &str,
     ctx: &PipelineContext,
 ) -> Result<(AdaptedBundle, PipelineReport), AdaptError> {
-    drive(spec, page_html, ctx, |state| EmitStage.run(state))
+    drive(spec, page_html, ctx, &mut |_| {})
 }
 
 /// One unit of finished work from a streaming adaptation run
-/// ([`adapt_streaming`]), delivered the moment it is complete.
-#[derive(Debug, Clone)]
-pub enum EmitUnit {
+/// ([`adapt_streaming`]), handed over the moment it is complete. Units
+/// borrow the run's artifacts; a sink that needs one past the call
+/// copies it.
+#[derive(Debug, Clone, Copy)]
+pub enum EmitUnit<'a> {
     /// The entry page HTML — always the *first* unit, emitted before
     /// any subpage is assembled, so a progressive transport can flush
     /// it while subpage workers are still running.
-    Entry(String),
+    Entry(&'a str),
     /// One finished subpage file, in worker-completion order.
-    Subpage(GeneratedFile),
-    /// One finished image (the snapshot right after the entry; subpage
-    /// pre-renders in completion order).
-    Image(GeneratedImage),
+    Subpage(&'a GeneratedFile),
+    /// One finished image: the ones the entry page references (the
+    /// snapshot and the attribute stage's renders) right after the
+    /// entry, subpage pre-renders in completion order.
+    Image(&'a GeneratedImage),
 }
 
-/// Runs the full pipeline in streaming mode: identical stages and
-/// artifacts to [`adapt_with_report`], but the emit phase is reordered
-/// entry-first and every finished artifact is handed to `on_unit` as a
-/// unit of work the moment it completes (entry page first, then
-/// subpages/images as the parallel emit workers finish them).
+/// Runs the full pipeline, handing every finished artifact to `on_unit`
+/// as a unit of work the moment it completes: the entry page first,
+/// then subpages and images as the parallel emit workers finish them.
 ///
-/// The returned bundle's `entry_html` and per-name artifacts are
-/// byte-identical to a batch run; only the `images` vec order differs
-/// (snapshot first instead of last).
+/// This is the same run as [`adapt_with_report`], which passes a sink
+/// that ignores every unit, so the returned bundle and report are the
+/// batch ones.
 ///
 /// # Errors
 ///
@@ -274,22 +272,19 @@ pub fn adapt_streaming(
     spec: &AdaptationSpec,
     page_html: &str,
     ctx: &PipelineContext,
-    on_unit: &mut (dyn FnMut(EmitUnit) + Send),
+    on_unit: &mut (dyn FnMut(EmitUnit<'_>) + Send),
 ) -> Result<(AdaptedBundle, PipelineReport), AdaptError> {
-    drive(spec, page_html, ctx, |state| {
-        emit::run_streaming(state, on_unit)
-    })
+    drive(spec, page_html, ctx, on_unit)
 }
 
-/// The stage driver shared by the batch and streaming entry points:
-/// runs fetch → filter → dom → attributes, then the supplied emit
-/// body (timed as the emit stage), then accounts the render
-/// pseudo-stage.
+/// The stage driver: runs fetch → filter → dom → attributes → emit
+/// (handing the emit stage's units to `on_unit`), then accounts the
+/// render pseudo-stage.
 fn drive(
     spec: &AdaptationSpec,
     page_html: &str,
     ctx: &PipelineContext,
-    emit_body: impl FnOnce(&mut PipelineState<'_>) -> Result<stage::StageOutcome, AdaptError>,
+    on_unit: &mut (dyn FnMut(EmitUnit<'_>) + Send),
 ) -> Result<(AdaptedBundle, PipelineReport), AdaptError> {
     let mut state = PipelineState::new(spec, page_html, ctx);
     let mut report = PipelineReport::default();
@@ -300,7 +295,9 @@ fn drive(
         }
         run_timed(&mut state, &mut report, ctx, stage.kind(), |s| stage.run(s))?;
     }
-    run_timed(&mut state, &mut report, ctx, StageKind::Emit, emit_body)?;
+    run_timed(&mut state, &mut report, ctx, StageKind::Emit, |s| {
+        emit::run(s, on_unit)
+    })?;
     if state.renderer.used() {
         let stage_report = StageReport {
             kind: StageKind::Render,

@@ -1,12 +1,13 @@
-//! Artifact builders and content handlers: origin fetches, the shared
-//! entry flight, per-user subpage bundles, image/subpage/AJAX serving,
-//! alternate-engine rendering, and the serve-stale degradation path.
+//! Artifact builders and content handlers: origin fetches, per-user
+//! subpage bundles, image/subpage/AJAX serving, alternate-engine
+//! rendering, and stale marking. The shared entry page lives in
+//! `entry`.
 
 use super::{ProxyServer, UserBundle};
 use crate::attributes::AdaptationSpec;
-use crate::cache::{Flight, Lookup};
+use crate::cache::Lookup;
 use crate::error::{ProxyError, DEGRADED_HEADER};
-use crate::pipeline::{adapt, adapt_with_report, AdaptedBundle};
+use crate::pipeline::{adapt, AdaptedBundle};
 use crate::session::{Session, SessionFs};
 use msite_net::resilience::Deadline;
 use msite_net::{Method, Request, Response, Url};
@@ -46,114 +47,13 @@ impl ProxyServer {
         response
     }
 
-    /// Builds (or reuses) the shared entry page + snapshot, which are
-    /// user-independent: the snapshot shows the public view of the page
-    /// and is "stored in a public cache" with the spec's TTL.
-    ///
-    /// Concurrent misses coalesce into one pipeline run through the
-    /// cache's single-flight layer: the first request leads the rebuild,
-    /// the rest share its output (counted in
-    /// [`ProxyStats::renders_coalesced`](super::ProxyStats::renders_coalesced)).
-    /// A waiter whose deadline expires mid-flight degrades to a stale
-    /// copy when one exists.
-    ///
-    /// When the origin is unavailable (final 5xx, breaker open, deadline
-    /// exhausted) and a rebuild is impossible, the previous entry page is
-    /// served as long as it is within the cache's stale window — the
-    /// serve-stale degradation. The stale copy stays in place until the
-    /// next successful rebuild replaces it.
-    pub(super) fn shared_entry(
+    /// Fetches the spec's page from the origin on the session's behalf;
+    /// a non-success status becomes the classified origin failure.
+    pub(super) fn fetch_page(
         &self,
         session: &Arc<Mutex<Session>>,
         deadline: Deadline,
-        tier: Option<msite_net::BandwidthClass>,
-    ) -> Result<(Bytes, Option<Duration>), ProxyError> {
-        let ttl = self
-            .spec
-            .snapshot
-            .as_ref()
-            .map(|s| Duration::from_secs(s.cache_ttl_secs));
-        // Tier-resolved entries are distinct artifacts (their image
-        // fidelity differs), so each tier gets its own cache key and
-        // single-flight lane; tier-less specs keep the bare key.
-        let key = match tier {
-            Some(class) => format!("entry:html@{class}"),
-            None => "entry:html".to_string(),
-        };
-        let flight_started = Instant::now();
-        let flight =
-            self.cache
-                .render_flight::<ProxyError>(&key, ttl, Some(deadline.remaining()), || {
-                    self.build_entry(session, deadline, tier)
-                });
-        let mut role_fields = Vec::new();
-        let outcome = match flight {
-            Flight::Hit(entry) => {
-                self.metrics.lightweight.inc();
-                role_fields.push(("role".to_string(), "hit".to_string()));
-                Ok((entry, None))
-            }
-            Flight::Led { value, shared_with } => {
-                if shared_with > 0 {
-                    if let Some(report) = self.last_entry_report.lock().as_mut() {
-                        report.coalesced_waiters += shared_with;
-                    }
-                }
-                role_fields.push(("role".to_string(), "led".to_string()));
-                role_fields.push(("shared_with".to_string(), shared_with.to_string()));
-                Ok((value, None))
-            }
-            Flight::Shared(entry) => {
-                self.metrics.lightweight.inc();
-                self.metrics.renders_coalesced.inc();
-                role_fields.push(("role".to_string(), "shared".to_string()));
-                Ok((entry, None))
-            }
-            Flight::Stale { value, age } => {
-                role_fields.push(("role".to_string(), "stale".to_string()));
-                Ok((value, Some(age)))
-            }
-            Flight::TimedOut => {
-                role_fields.push(("role".to_string(), "timed-out".to_string()));
-                Err(ProxyError::DeadlineExceeded)
-            }
-            Flight::Failed(err) => {
-                role_fields.push(("role".to_string(), "failed".to_string()));
-                if err.is_unavailability() {
-                    if let Lookup::Stale { value, age } = self.cache.lookup(&key) {
-                        role_fields.push(("fallback".to_string(), "stale".to_string()));
-                        Ok((value, Some(age)))
-                    } else {
-                        Err(err)
-                    }
-                } else {
-                    Err(err)
-                }
-            }
-        };
-        if let Some(trace) = Trace::current() {
-            role_fields.push(("key".to_string(), key));
-            trace.log().record_raw(
-                trace.id(),
-                "cache.flight",
-                flight_started,
-                flight_started.elapsed(),
-                role_fields,
-            );
-        }
-        outcome
-    }
-
-    /// Leader body of the entry-page flight: fetch the origin page, run
-    /// the full adaptation pipeline, store the generated artifacts, and
-    /// return the entry HTML plus its production cost.
-    pub(super) fn build_entry(
-        &self,
-        session: &Arc<Mutex<Session>>,
-        deadline: Deadline,
-        tier: Option<msite_net::BandwidthClass>,
-    ) -> Result<(Bytes, Duration), ProxyError> {
-        let start = Instant::now();
+    ) -> Result<Response, ProxyError> {
         let mut page_request =
             Request::get(&self.spec.page_url).map_err(|e| ProxyError::BadOriginUrl {
                 detail: e.to_string(),
@@ -162,22 +62,7 @@ impl ProxyServer {
         if !page.status.is_success() {
             return Err(ProxyError::from_origin_failure(&page));
         }
-        let (bundle, report) = adapt_with_report(
-            &self.spec,
-            &page.body_text(),
-            &self.pipeline_context_tiered(tier),
-        )?;
-        if bundle.stats.browser_used {
-            self.metrics.full_renders.inc();
-        } else {
-            self.metrics.lightweight.inc();
-        }
-        self.publish_stage_timings(&report);
-        self.store_bundle(&bundle, None, start.elapsed());
-        *self.shared_ajax.lock() = Some(bundle.ajax.clone());
-        *self.wants_cookie_clear.lock() = bundle.wants_cookie_clear;
-        *self.last_entry_report.lock() = Some(report);
-        Ok((Bytes::from(bundle.entry_html), start.elapsed()))
+        Ok(page)
     }
 
     /// Builds the per-user subpages with the user's authenticated view.
@@ -190,25 +75,18 @@ impl ProxyServer {
         if let Some(existing) = self.user_bundles.lock().get(&session_id) {
             return Ok(Arc::clone(existing));
         }
-        let mut page_request =
-            Request::get(&self.spec.page_url).map_err(|e| ProxyError::BadOriginUrl {
-                detail: e.to_string(),
-            })?;
-        let page = self.origin_fetch(session, &mut page_request, deadline);
-        if !page.status.is_success() {
-            return Err(ProxyError::from_origin_failure(&page));
-        }
+        let page = self.fetch_page(session, deadline)?;
         // Subpage generation does not re-render the snapshot.
         let mut spec = self.spec.clone();
         spec.snapshot = None;
         let start = Instant::now();
-        let bundle = adapt(&spec, &page.body_text(), &self.pipeline_context())?;
+        let bundle = adapt(&spec, &page.body_text(), &self.pipeline_context(None))?;
         if bundle.stats.browser_used {
             self.metrics.full_renders.inc();
         } else {
             self.metrics.lightweight.inc();
         }
-        self.store_bundle(&bundle, Some(&session_id), start.elapsed());
+        self.store_bundle(&bundle, &session_id, start.elapsed());
         let auth_subpages = auth_subpage_ids(&self.spec);
         let user = Arc::new(UserBundle {
             ajax: bundle.ajax.clone(),
@@ -220,65 +98,30 @@ impl ProxyServer {
         Ok(user)
     }
 
-    /// Writes a bundle's artifacts: shared images into the public cache,
-    /// per-user files into the session directory. The entry page itself
-    /// is *not* stored here — the single-flight layer inserts it when
-    /// the leading request's flight completes.
-    pub(super) fn store_bundle(
-        &self,
-        bundle: &AdaptedBundle,
-        session_id: Option<&str>,
-        cost: Duration,
-    ) {
+    /// Writes a per-user bundle's artifacts: shared (TTL'd) images into
+    /// the public cache; the other images and the subpages, with their
+    /// form actions rewritten through the origin passthrough, into the
+    /// session directory.
+    fn store_bundle(&self, bundle: &AdaptedBundle, session_id: &str, cost: Duration) {
         for image in &bundle.images {
-            self.store_image(
-                &image.name,
-                Bytes::from(image.bytes.clone()),
-                image.cache_ttl,
-                session_id,
-                cost,
+            let bytes = Bytes::from(image.bytes.clone());
+            match image.cache_ttl {
+                Some(ttl) => {
+                    self.cache
+                        .put(&format!("img:{}", image.name), bytes, Some(ttl), cost);
+                }
+                None => self.fs.write(
+                    &SessionFs::user_path(session_id, &format!("img/{}", image.name)),
+                    bytes,
+                ),
+            }
+        }
+        for subpage in &bundle.subpages {
+            self.fs.write(
+                &SessionFs::user_path(session_id, &format!("s/{}", subpage.name)),
+                rewrite_form_actions(&subpage.html, &self.base()),
             );
         }
-        if let Some(sid) = session_id {
-            for subpage in &bundle.subpages {
-                self.store_subpage(sid, &subpage.name, &subpage.html);
-            }
-        }
-    }
-
-    /// Stores one generated image: shared (TTL'd) images into the
-    /// public cache, the rest into the session or public directory.
-    pub(super) fn store_image(
-        &self,
-        name: &str,
-        bytes: Bytes,
-        cache_ttl: Option<Duration>,
-        session_id: Option<&str>,
-        cost: Duration,
-    ) {
-        match (cache_ttl, session_id) {
-            (Some(ttl), _) => {
-                self.cache
-                    .put(&format!("img:{name}"), bytes, Some(ttl), cost);
-            }
-            (None, Some(sid)) => {
-                self.fs
-                    .write(&SessionFs::user_path(sid, &format!("img/{name}")), bytes);
-            }
-            (None, None) => {
-                self.fs
-                    .write(&SessionFs::public_path(&format!("img/{name}")), bytes);
-            }
-        }
-    }
-
-    /// Stores one generated subpage into a session directory with its
-    /// form actions rewritten through the origin passthrough.
-    pub(super) fn store_subpage(&self, session_id: &str, name: &str, html: &str) {
-        self.fs.write(
-            &SessionFs::user_path(session_id, &format!("s/{name}")),
-            rewrite_form_actions(html, &self.base()),
-        );
     }
 
     pub(super) fn serve_image(
@@ -360,14 +203,7 @@ impl ProxyServer {
         deadline: Deadline,
     ) -> Result<(Bytes, Duration), ProxyError> {
         let start = Instant::now();
-        let mut page_request =
-            Request::get(&self.spec.page_url).map_err(|e| ProxyError::BadOriginUrl {
-                detail: e.to_string(),
-            })?;
-        let page = self.origin_fetch(session, &mut page_request, deadline);
-        if !page.status.is_success() {
-            return Err(ProxyError::from_origin_failure(&page));
-        }
+        let page = self.fetch_page(session, deadline)?;
         match self
             .engines
             .render_with_fallback(engine_name, &page.body_text())

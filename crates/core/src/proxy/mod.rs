@@ -8,13 +8,15 @@
 //! session directories, serves a shared cached snapshot, satisfies
 //! rewritten AJAX calls, and proxies form posts back to the origin.
 //!
-//! It implements [`Origin`], so it can be composed in-process for
-//! benchmarks or served over real TCP by `msite_net::HttpServer`.
+//! It implements [`Origin`](msite_net::Origin), so it can be composed
+//! in-process for benchmarks or served over real TCP by
+//! `msite_net::HttpServer`.
 //!
-//! The module tree mirrors the request path: [`routing`] dispatches,
-//! [`handlers`] build and serve artifacts, [`streaming`] implements
-//! progressive (chunked) entry delivery, and [`observability`] holds
-//! the stats/telemetry views and scrape endpoints.
+//! The module tree mirrors the request path: `routing` dispatches,
+//! `entry` builds and serves the shared entry page (batch or chunked),
+//! `handlers` build and serve the per-user artifacts, and
+//! `observability` holds the stats/telemetry views and scrape
+//! endpoints.
 //!
 //! # Observability
 //!
@@ -45,16 +47,16 @@
 //! [`ProxyStats`].
 
 mod config;
+mod entry;
 mod handlers;
 mod observability;
 mod routing;
-mod streaming;
 #[cfg(test)]
 mod tests;
 
 pub use config::{PersistConfig, ProxyConfig, DEFAULT_PERSIST_CAPACITY_BYTES};
+pub use entry::STREAM_HEADER;
 pub use observability::ProxyStats;
-pub use streaming::STREAM_HEADER;
 
 use crate::ajax::AjaxRegistry;
 use crate::attributes::AdaptationSpec;
@@ -87,7 +89,7 @@ pub struct ProxyServer {
     sessions: Arc<SessionStore>,
     /// Tenant label for this proxy's sessions: the origin site's host.
     tenant: String,
-    // Arc'd so the streaming producer (which runs on the transport
+    // Arc'd so a streamed entry build (which runs on the transport
     // writer after `handle` returns) can own handles to the stores it
     // fills progressively.
     fs: Arc<SessionFs>,
@@ -334,7 +336,9 @@ impl ProxyServer {
 
     // ------------------------------------------------------------------
 
-    fn pipeline_context(&self) -> PipelineContext {
+    /// Pipeline context for this proxy's runs; `fidelity` is the
+    /// bandwidth class `fidelity-tier auto` attributes resolve to.
+    fn pipeline_context(&self, fidelity: Option<msite_net::BandwidthClass>) -> PipelineContext {
         PipelineContext {
             base: self.base(),
             browser_config: self.config.browser_config.clone(),
@@ -343,20 +347,16 @@ impl ProxyServer {
             trace: Trace::current(),
             subtree_cache: Some(Arc::clone(&self.subtrees)),
             metrics: Some(Arc::clone(&self.telemetry.metrics)),
-            fidelity: None,
+            fidelity,
         }
     }
 
-    /// Pipeline context for a tier-resolved entry build: identical to
-    /// [`pipeline_context`](Self::pipeline_context) plus the bandwidth
-    /// class `fidelity-tier auto` attributes resolve to.
-    fn pipeline_context_tiered(
-        &self,
-        fidelity: Option<msite_net::BandwidthClass>,
-    ) -> PipelineContext {
-        PipelineContext {
-            fidelity,
-            ..self.pipeline_context()
-        }
+    /// The shared-cache TTL of snapshot-derived artifacts (the entry
+    /// page and `/render/<engine>` output); `None` without a snapshot.
+    fn snapshot_ttl(&self) -> Option<std::time::Duration> {
+        self.spec
+            .snapshot
+            .as_ref()
+            .map(|s| std::time::Duration::from_secs(s.cache_ttl_secs))
     }
 }

@@ -22,9 +22,10 @@ use std::sync::Arc;
 
 /// Proxy request counters: every field is read back from the proxy's
 /// metrics registry (`msite_proxy_*` series; `sessions_created`,
-/// `subtrees_*` and `overload_rejections` read the session store's,
-/// the subtree cache's and the serving tier's series), so
-/// [`ProxyStats`] and a `/metrics` scrape can never disagree.
+/// `renders_coalesced`, `subtrees_*` and `overload_rejections` read the
+/// session store's, the render cache's, the subtree cache's and the
+/// serving tier's series), so [`ProxyStats`] and a `/metrics` scrape
+/// can never disagree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProxyStats {
     /// Requests handled.
@@ -47,7 +48,8 @@ pub struct ProxyStats {
     /// failed.
     pub engine_fallbacks: u64,
     /// Requests that shared another request's in-flight render instead
-    /// of launching their own (single-flight coalescing).
+    /// of launching their own (single-flight coalescing): the render
+    /// cache's `msite_cache_coalesced_total`.
     pub renders_coalesced: u64,
     /// Connections the serving tier shed with `503` +
     /// `x-msite-error: overloaded` because the executor's bounded queue
@@ -76,7 +78,6 @@ pub(super) struct ProxyMetrics {
     pub(super) origin_fetches: Arc<Counter>,
     pub(super) stale_served: Arc<Counter>,
     pub(super) engine_fallbacks: Arc<Counter>,
-    pub(super) renders_coalesced: Arc<Counter>,
     /// The serving tier's shed counter — the *same* series an
     /// `HttpServer` sharing this registry increments.
     pub(super) overload_rejections: Arc<Counter>,
@@ -103,7 +104,6 @@ impl ProxyMetrics {
             origin_fetches: m.counter("msite_proxy_origin_fetches_total", &[]),
             stale_served: m.counter("msite_proxy_stale_served_total", &[]),
             engine_fallbacks: m.counter("msite_proxy_engine_fallbacks_total", &[]),
-            renders_coalesced: m.counter("msite_proxy_renders_coalesced_total", &[]),
             overload_rejections: m.counter("msite_server_rejected_overload_total", &[]),
             streamed_responses: m.counter("msite_proxy_streamed_responses_total", &[]),
             png_encodes: m.counter("msite_png_encodes_total", &[]),
@@ -113,9 +113,10 @@ impl ProxyMetrics {
 }
 
 /// Publishes per-stage pipeline timings into a registry's
-/// `msite_stage_micros{stage=...}` histograms. Free function so the
-/// streaming producer — which outlives the `&self` borrow — can
-/// publish through its own registry handle.
+/// `msite_stage_micros{stage=...}` histograms. Cold path: only entry
+/// builds (not cache hits) get here. Free function so an entry build,
+/// which can outlive the `&self` borrow, publishes through its own
+/// registry handle.
 pub(super) fn publish_stage_timings_to(
     metrics: &msite_support::telemetry::MetricsRegistry,
     report: &PipelineReport,
@@ -147,19 +148,12 @@ impl ProxyServer {
                 .counter_sum("msite_proxy_errors_total"),
             stale_served: self.metrics.stale_served.get(),
             engine_fallbacks: self.metrics.engine_fallbacks.get(),
-            renders_coalesced: self.metrics.renders_coalesced.get(),
+            renders_coalesced: self.cache.stats().coalesced,
             overload_rejections: self.metrics.overload_rejections.get(),
             subtrees_reused: subtrees.hits,
             subtrees_recomputed: subtrees.misses,
             streamed_responses: self.metrics.streamed_responses.get(),
         }
-    }
-
-    /// Publishes per-stage pipeline timings into the registry's
-    /// `msite_stage_micros{stage=...}` histograms. Cold path: only
-    /// entry rebuilds (not cache hits) get here.
-    pub(super) fn publish_stage_timings(&self, report: &PipelineReport) {
-        publish_stage_timings_to(&self.telemetry.metrics, report);
     }
 
     /// Routes the observability endpoints — `GET /metrics`,

@@ -1,7 +1,6 @@
 //! Request routing: the proxy-namespace dispatcher and the [`Origin`]
 //! implementation (trace creation + request span).
 
-use super::streaming;
 use super::ProxyServer;
 use crate::cache::Flight;
 use crate::engine::CachedRender;
@@ -66,48 +65,9 @@ impl ProxyServer {
         let response = match rest {
             "/" => {
                 burn(self.config.scripted_overhead);
-                // Resolve the fidelity tier up front when the spec
-                // carries a fidelity-tier attribute: a pinned tier
-                // wins, else the client's bandwidth header, else the
-                // User-Agent's device class (see `content::fidelity`).
-                let tier = self.spec.fidelity_request().map(|explicit| {
-                    crate::content::resolve_tier(
-                        explicit,
-                        request
-                            .headers
-                            .get(crate::content::fidelity::BANDWIDTH_HEADER),
-                        request.headers.get("user-agent").unwrap_or(""),
-                    )
-                });
-                if let Some(class) = tier {
-                    self.telemetry
-                        .metrics
-                        .counter("msite_fidelity_tier", &[("tier", class.name())])
-                        .inc();
-                }
-                // Tiered entries are cached per tier and always built
-                // on the batch path; the streaming producer's cache key
-                // is tier-less, so it only serves tier-less specs.
-                if tier.is_none() && streaming::wants_stream(request) {
-                    match self.streamed_entry(&session, deadline) {
-                        Ok(r) => r,
-                        Err(err) => fail(err),
-                    }
-                } else {
-                    let arrived = Instant::now();
-                    match self.shared_entry(&session, deadline, tier) {
-                        Ok((entry, stale_age)) => {
-                            self.metrics
-                                .ttfb_micros
-                                .observe(arrived.elapsed().as_micros() as u64);
-                            let response = Response::bytes("text/html; charset=utf-8", entry);
-                            match stale_age {
-                                None => response,
-                                Some(age) => self.mark_stale(response, age),
-                            }
-                        }
-                        Err(err) => fail(err),
-                    }
+                match self.serve_entry(request, &session, deadline) {
+                    Ok(r) => r,
+                    Err(err) => fail(err),
                 }
             }
             "/logout" => {
@@ -174,14 +134,9 @@ impl ProxyServer {
                         name: engine_name.to_string(),
                     }));
                 }
-                let ttl = self
-                    .spec
-                    .snapshot
-                    .as_ref()
-                    .map(|s| Duration::from_secs(s.cache_ttl_secs));
                 let flight = self.cache.render_flight::<ProxyError>(
                     &format!("render:{engine_name}"),
-                    ttl,
+                    self.snapshot_ttl(),
                     Some(deadline.remaining()),
                     || self.render_engine_page(&session, engine_name, deadline),
                 );
@@ -193,7 +148,6 @@ impl ProxyServer {
                     Flight::Led { value, .. } => (value, None),
                     Flight::Shared(bytes) => {
                         self.metrics.lightweight.inc();
-                        self.metrics.renders_coalesced.inc();
                         (bytes, None)
                     }
                     Flight::Stale { value, age } => (value, Some(age)),

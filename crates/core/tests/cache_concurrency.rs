@@ -2,7 +2,8 @@
 //! stats accounting, and TTL expiry must all hold under multi-threaded
 //! hit/miss churn driven through `std::thread::scope`.
 
-use msite::cache::RenderCache;
+use msite::cache::{Flight, RenderCache};
+use std::convert::Infallible;
 use std::time::Duration;
 
 const THREADS: usize = 8;
@@ -104,10 +105,10 @@ fn ttl_expiry_is_observed_once_under_concurrent_readers() {
     assert_eq!(cache.len(), TTL_KEYS);
 }
 
-/// `get_or_insert_with` under contention: every reader of a key gets a
+/// `render_flight` under contention: every reader of a key gets a
 /// coherent value that some thread produced, and the bound holds.
 #[test]
-fn get_or_insert_with_is_coherent_under_contention() {
+fn render_flight_is_coherent_under_contention() {
     let cache = RenderCache::new(16);
     std::thread::scope(|scope| {
         for t in 0..6u8 {
@@ -115,9 +116,14 @@ fn get_or_insert_with_is_coherent_under_contention() {
             scope.spawn(move || {
                 for i in 0..200usize {
                     let key = format!("shared{}", i % 8);
-                    let got = cache.get_or_insert_with(&key, None, || {
-                        (vec![t, (i % 8) as u8].into(), Duration::from_millis(2))
-                    });
+                    let got = match cache.render_flight::<Infallible>(&key, None, None, || {
+                        Ok((vec![t, (i % 8) as u8].into(), Duration::from_millis(2)))
+                    }) {
+                        Flight::Hit(value) | Flight::Led { value, .. } | Flight::Shared(value) => {
+                            value
+                        }
+                        other => panic!("unbounded infallible flight settled as {other:?}"),
+                    };
                     // Whatever thread won the insert, the stored value is
                     // one of the producers' outputs for this key slot.
                     assert_eq!(got.len(), 2);

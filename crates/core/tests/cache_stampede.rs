@@ -6,13 +6,23 @@
 //! thread arrival order to shake out interleaving-dependent bugs.
 
 use msite::cache::{Flight, RenderCache};
+use msite_support::bytes::Bytes;
 use msite_support::thread::{fan_out, staggered_fan_out};
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 const SEC: Duration = Duration::from_secs(1);
+
+/// The artifact an unbounded, infallible flight settles with.
+fn flight_value(flight: Flight<Infallible>) -> Bytes {
+    match flight {
+        Flight::Hit(value) | Flight::Led { value, .. } | Flight::Shared(value) => value,
+        other => panic!("unbounded infallible flight settled as {other:?}"),
+    }
+}
 
 /// The headline regression: N concurrent misses on the same key run
 /// `produce()` exactly once, and every caller sees the same bytes.
@@ -25,13 +35,13 @@ fn stampede_collapses_to_one_produce() {
 
     let results = fan_out(N, |_| {
         gate.wait();
-        cache.get_or_insert_with("page", Some(SEC * 60), || {
+        flight_value(cache.render_flight("page", Some(SEC * 60), None, || {
             calls.fetch_add(1, Ordering::SeqCst);
-            // A deliberately slow render so every other thread arrives
-            // while the flight is still in progress.
+            // A deliberately slow render so every other thread
+            // arrives while the flight is still in progress.
             std::thread::sleep(Duration::from_millis(80));
-            (b"rendered".to_vec().into(), Duration::from_millis(80))
-        })
+            Ok((b"rendered".to_vec().into(), Duration::from_millis(80)))
+        }))
     });
 
     assert_eq!(
@@ -173,14 +183,14 @@ fn abandoned_flight_recovers() {
     let results = fan_out(N, |_| {
         gate.wait();
         catch_unwind(AssertUnwindSafe(|| {
-            cache.get_or_insert_with("flaky", Some(SEC * 60), || {
+            flight_value(cache.render_flight("flaky", Some(SEC * 60), None, || {
                 let n = calls.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_millis(40));
                 if n == 0 {
                     panic!("simulated renderer crash");
                 }
-                (b"ok".to_vec().into(), Duration::from_millis(40))
-            })
+                Ok((b"ok".to_vec().into(), Duration::from_millis(40)))
+            }))
         }))
         .ok()
     });
@@ -210,11 +220,11 @@ fn schedule_exploration_smoke() {
         let values = staggered_fan_out(WORKERS, seed, Duration::from_millis(2), |i| {
             let key = format!("k{}", i % 2);
             let want = format!("v{}", i % 2);
-            let got = cache.get_or_insert_with(&key, Some(SEC * 60), || {
+            let got = flight_value(cache.render_flight(&key, Some(SEC * 60), None, || {
                 produced.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_millis(5));
-                (want.clone().into_bytes().into(), Duration::from_millis(5))
-            });
+                Ok((want.clone().into_bytes().into(), Duration::from_millis(5)))
+            }));
             (want, got)
         });
         for (want, got) in &values {

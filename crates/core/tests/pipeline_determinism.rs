@@ -173,9 +173,9 @@ fn streaming_units_reassemble_to_the_batch_bundle() {
         let mut unit_files = Vec::new();
         let mut unit_images = Vec::new();
         let mut on_unit = |unit: EmitUnit| match unit {
-            EmitUnit::Entry(html) => entry_chunks.push_str(&html),
-            EmitUnit::Subpage(file) => unit_files.push(file),
-            EmitUnit::Image(image) => unit_images.push(image),
+            EmitUnit::Entry(html) => entry_chunks.push_str(html),
+            EmitUnit::Subpage(file) => unit_files.push(file.clone()),
+            EmitUnit::Image(image) => unit_images.push(image.clone()),
         };
         let (bundle, _report) = adapt_streaming(&spec, &page, &ctx, &mut on_unit)
             .expect("fixture adapts cleanly in streaming mode");

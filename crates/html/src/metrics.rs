@@ -4,9 +4,10 @@
 //! structural quantities content-scoring heuristics need — serialized
 //! byte length, visible text bytes, text bytes inside links, comment
 //! bytes, element/link/paragraph counts — in the same single
-//! serialization walk that [`fingerprint_map`](crate::fingerprint::
-//! fingerprint_map) uses: a stack of running accumulators, one per open
-//! ancestor, absorbs each emitted byte, so the cost is
+//! serialization walk that
+//! [`fingerprint_map`](crate::fingerprint::fingerprint_map) uses: a
+//! stack of running accumulators, one per open ancestor, absorbs each
+//! emitted byte, so the cost is
 //! O(depth · bytes) with no per-subtree re-serialization.
 //!
 //! [`fingerprint_and_measure`] piggybacks the metrics accumulation on

@@ -10,7 +10,6 @@
 //! right-to-left like production engines.
 
 use msite_html::{Document, NodeId};
-use msite_support::swar;
 use std::error::Error;
 use std::fmt;
 
@@ -273,120 +272,12 @@ impl SelectorList {
 
     /// All elements under `scope` (excluding `scope` itself) matching this
     /// list, in document order.
-    ///
-    /// Candidates pass through a per-alternative bloom prefilter first:
-    /// each alternative's key compound contributes its required
-    /// type/id/class tokens to a 64-bit signature, each element hashes
-    /// its own tokens once, and a subset test rejects most elements
-    /// without touching the per-char matching path. False positives
-    /// fall through to the full matcher; false negatives are impossible
-    /// (a matching element necessarily carries every required token),
-    /// so the result is identical to [`SelectorList::select_scalar`] —
-    /// pinned by a property gate in `tests/bloom_identity.rs`.
     pub fn select(&self, doc: &Document, scope: NodeId) -> Vec<NodeId> {
-        // Hashing an element's tokens only pays off when the signature
-        // is consulted more than once: one element hash buys one subset
-        // test per alternative, so engage the prefilter for lists with
-        // several alternatives and skip it for one or two selectors
-        // (whose key-compound match is as cheap as the subset test).
-        // Either way the result set is identical — the prefilter only
-        // ever skips the full matcher, never changes its answer.
-        let use_bloom = self.selectors.len() >= 3;
-        let key_blooms: Vec<u64> = if use_bloom {
-            self.selectors
-                .iter()
-                .map(|s| compound_bloom(&s.key))
-                .collect()
-        } else {
-            vec![0; self.selectors.len()]
-        };
-        doc.descendants(scope)
-            .filter(|&id| {
-                let Some(element) = doc.data(id).as_element() else {
-                    return false;
-                };
-                let eb = if use_bloom { element_bloom(element) } else { 0 };
-                self.selectors
-                    .iter()
-                    .zip(&key_blooms)
-                    .any(|(s, &kb)| kb & eb == kb && matches_complex(doc, id, s))
-            })
-            .collect()
-    }
-
-    /// [`SelectorList::select`] without the bloom prefilter — the
-    /// reference twin the identity gate compares against.
-    #[doc(hidden)]
-    pub fn select_scalar(&self, doc: &Document, scope: NodeId) -> Vec<NodeId> {
         doc.descendants(scope)
             .filter(|&id| doc.data(id).as_element().is_some())
             .filter(|&id| self.matches(doc, id))
             .collect()
     }
-}
-
-// ---------------------------------------------------------------------
-// Bloom prefilter
-// ---------------------------------------------------------------------
-
-/// Token kinds are mixed into the hash so `div` the type and `div` the
-/// class produce unrelated signatures.
-const TOKEN_TYPE: u64 = 0x9E;
-const TOKEN_ID: u64 = 0xB1;
-const TOKEN_CLASS: u64 = 0xC7;
-
-/// Two-probe bloom signature of one token. Type tokens are hashed
-/// through the branchless SWAR case fold so `DIV` and `div` collide by
-/// construction — the exact comparison still runs afterwards, keeping
-/// scalar semantics (which are case-sensitive) intact.
-fn token_mask(kind: u64, token: &str, fold_case: bool) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64 ^ (kind.wrapping_mul(0x100_0000_01B3));
-    // Word-at-a-time FNV variant: one multiply per eight bytes (tokens
-    // are almost always a single word) instead of one per byte. Both
-    // sides of the subset test use this same function, so the lane
-    // packing only has to be consistent, not canonical.
-    for chunk in token.as_bytes().chunks(8) {
-        let mut lane = [0u8; 8];
-        lane[..chunk.len()].copy_from_slice(chunk);
-        let mut word = u64::from_le_bytes(lane);
-        if fold_case {
-            word = swar::lower_word(word);
-        }
-        h = (h ^ word).wrapping_mul(0x100_0000_01B3);
-    }
-    (1 << (h & 63)) | (1 << ((h >> 8) & 63))
-}
-
-/// The required-token signature of a key compound: type, id and class
-/// parts only. Negations, attributes and pseudo-classes contribute
-/// nothing (they impose no token the element must carry), so an empty
-/// signature lets every element through to the full matcher.
-fn compound_bloom(compound: &Compound) -> u64 {
-    let mut bloom = 0;
-    for part in &compound.parts {
-        match part {
-            SimpleSelector::Type(t) => bloom |= token_mask(TOKEN_TYPE, t, true),
-            SimpleSelector::Id(id) => bloom |= token_mask(TOKEN_ID, id, false),
-            SimpleSelector::Class(c) => bloom |= token_mask(TOKEN_CLASS, c, false),
-            _ => {}
-        }
-    }
-    bloom
-}
-
-/// The token signature an element advertises: its case-folded name,
-/// its id, and every class token.
-fn element_bloom(element: &msite_html::Element) -> u64 {
-    let mut bloom = token_mask(TOKEN_TYPE, element.name(), true);
-    if let Some(id) = element.attr("id") {
-        bloom |= token_mask(TOKEN_ID, id, false);
-    }
-    if let Some(classes) = element.attr("class") {
-        for class in classes.split_ascii_whitespace() {
-            bloom |= token_mask(TOKEN_CLASS, class, false);
-        }
-    }
-    bloom
 }
 
 fn complex_specificity(sel: &ComplexSelector) -> (u32, u32, u32) {

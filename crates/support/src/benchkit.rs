@@ -274,7 +274,7 @@ fn fmt_duration(d: Duration) -> String {
 
 /// Declares a benchmark group function in the criterion style:
 /// `criterion_group!(benches, bench_a, bench_b)` defines `fn benches()`
-/// that runs each target against a fresh [`Criterion`](benchkit::Criterion).
+/// that runs each target against a fresh [`Criterion`](crate::benchkit::Criterion).
 #[macro_export]
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {

@@ -7,11 +7,11 @@
 //!
 //! - [`sync`] — non-poisoning [`Mutex`](sync::Mutex)/[`RwLock`](sync::RwLock)
 //!   wrappers (the `parking_lot` calling convention over `std::sync`);
-//! - [`bytes`] — [`Bytes`](bytes::Bytes), a cheaply cloneable shared byte
+//! - [`bytes`] — [`Bytes`], a cheaply cloneable shared byte
 //!   buffer for response bodies and cached artifacts;
-//! - [`json`] — a small JSON [`Value`](json::Value) with a
-//!   parser/serializer and the [`ToJson`](json::ToJson)/
-//!   [`FromJson`](json::FromJson) traits used for specs and reports;
+//! - [`json`] — a small JSON [`Value`] with a
+//!   parser/serializer and the [`ToJson`]/
+//!   [`FromJson`] traits used for specs and reports;
 //! - [`thread`] — scoped fan-out helpers over [`std::thread::scope`] and
 //!   the bounded [`WorkerPool`](thread::WorkerPool) executor;
 //! - [`prop`] — a deterministic, seed-driven property-test harness;

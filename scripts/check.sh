@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repository gate: formatting, lints, release build, the full test
+# Repository gate: formatting, lints, rustdoc (broken or private
+# intra-doc links fail it), release build, the full test
 # suite (every suite runs once, in the workspace step), the loopback
 # benchmark's smoke test, and the experiment shape gates. Everything
 # runs offline — the workspace has no external dependencies.
@@ -11,6 +12,9 @@ cargo fmt --all --check
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== cargo doc -D warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "== cargo build --release =="
 cargo build --release --offline --workspace

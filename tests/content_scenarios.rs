@@ -12,11 +12,14 @@
 //!   re-encodes gallery images so 2G wire bytes land strictly below
 //!   WiFi, with exact `msite_fidelity_tier` deltas;
 //! - adapted output is byte-identical across pipeline parallelism
-//!   widths.
+//!   widths;
+//! - a tiered entry streams when the client asks for it (in-process,
+//!   where the undrained stream is observable), and its chunks
+//!   concatenate to the batch entry of its tier.
 
 use msite::attributes::{AdaptationSpec, Attribute, Target};
-use msite::proxy::{ProxyConfig, ProxyServer};
-use msite_net::{http_get, http_request, HttpServer, OriginRef, Request, Response};
+use msite::proxy::{ProxyConfig, ProxyServer, STREAM_HEADER};
+use msite_net::{http_get, http_request, HttpServer, Origin, OriginRef, Request, Response};
 use msite_sites::{NewsConfig, NewsSite};
 use msite_support::telemetry::Telemetry;
 use std::collections::BTreeMap;
@@ -338,5 +341,42 @@ fn adapted_output_is_byte_identical_across_parallel_widths() {
     assert_eq!(
         bodies[0].1, bodies[1].1,
         "subpage bytes diverge across widths"
+    );
+}
+
+// --- Scenario 5: a tiered entry streams when the client asks ---
+
+#[test]
+fn tiered_entry_streams_when_asked() {
+    let proxy = || {
+        ProxyServer::new(
+            spec_with(
+                "http://news.test/gallery",
+                vec![Attribute::FidelityTier { tier: None }],
+            ),
+            news_origin(),
+            ProxyConfig::default(),
+        )
+    };
+    let entry_2g = || {
+        Request::get("http://proxy.test/m/t/")
+            .unwrap()
+            .with_header("x-msite-bandwidth", "2g")
+    };
+    let batch = proxy().handle(&entry_2g());
+    assert!(batch.status.is_success());
+
+    let streamed_proxy = proxy();
+    let streamed = streamed_proxy.handle(&entry_2g().with_header(STREAM_HEADER, "chunked"));
+    assert!(streamed.status.is_success());
+    assert!(
+        streamed.is_streaming(),
+        "a tiered entry must honour the stream header"
+    );
+    assert_eq!(streamed_proxy.stats().streamed_responses, 1);
+    assert_eq!(
+        streamed.into_collected().body_text(),
+        batch.body_text(),
+        "streamed chunks must concatenate to the batch 2G entry"
     );
 }

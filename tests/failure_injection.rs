@@ -13,11 +13,11 @@
 use msite::attributes::{AdaptationSpec, Attribute, SnapshotSpec, Target};
 use msite::engine::{RenderEngine, RenderedArtifact};
 use msite::error::{DEGRADED_HEADER, ERROR_HEADER};
-use msite::proxy::{ProxyConfig, ProxyServer};
+use msite::proxy::{ProxyConfig, ProxyServer, STREAM_HEADER};
 use msite_net::resilience::{BreakerConfig, BreakerState, DeadlineBudget, RetryPolicy};
 use msite_net::{FlakyOrigin, Origin, OriginRef, Request, ResiliencePolicy, Response, Status};
 use msite_sites::{ForumConfig, ForumSite};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn spec_for(url: &str, snapshot: bool) -> AdaptationSpec {
@@ -126,6 +126,42 @@ fn flaky_origin_failures_do_not_poison_the_cache() {
         proxy.cache().get("entry:html").is_none(),
         "failure must not be cached"
     );
+}
+
+/// Streamed requests that join a rebuild whose origin fetch fails get
+/// the leader's answer: one origin fetch and one classified status for
+/// all of them, not a retry per waiter against the failing origin.
+#[test]
+fn streamed_waiters_share_a_failed_rebuild() {
+    const CLIENTS: usize = 4;
+    let failing = Arc::new(
+        FlakyOrigin::new(healthy_page(), 1.0, Status::INTERNAL_SERVER_ERROR)
+            .with_latency(Duration::from_millis(60), Duration::ZERO),
+    );
+    let proxy = Arc::new(ProxyServer::new(
+        spec_for("http://failing.test/", false),
+        failing as OriginRef,
+        fast_config(),
+    ));
+    let gate = Arc::new(Barrier::new(CLIENTS));
+    let handles: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let proxy = Arc::clone(&proxy);
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                let request = entry_request().with_header(STREAM_HEADER, "chunked");
+                gate.wait();
+                proxy.handle(&request).status
+            })
+        })
+        .collect();
+    let statuses: Vec<Status> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    assert_eq!(
+        proxy.stats().origin_fetches,
+        1,
+        "waiters must share the leader's failed fetch"
+    );
+    assert_eq!(statuses, vec![Status::BAD_GATEWAY; CLIENTS]);
 }
 
 #[test]

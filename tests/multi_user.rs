@@ -249,6 +249,8 @@ fn mixed_streamed_and_batch_stampede_still_renders_once() {
     );
     assert_eq!(stats.renders_coalesced, 7);
     assert_eq!(stats.streamed_responses, 4);
+    assert_eq!(proxy.cache().stats().coalesced, 7);
+    assert_eq!(stats.lightweight, 7);
 }
 
 #[test]

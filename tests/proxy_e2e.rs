@@ -381,10 +381,6 @@ fn cold_stampede_over_tcp_coalesces_exactly() {
         "single-flight admits exactly one origin fetch"
     );
     assert_eq!(
-        sample(&samples, "msite_proxy_renders_coalesced_total"),
-        CLIENTS as i64 - 1
-    );
-    assert_eq!(
         sample(&samples, "msite_cache_coalesced_total"),
         CLIENTS as i64 - 1
     );

@@ -1,18 +1,15 @@
 //! Byte-identity gates for the SWAR fast paths, run over the *real*
 //! fixture sites rather than synthetic documents.
 //!
-//! The per-crate property suites (`swar_prop`, `swar_identity`,
-//! `bloom_identity`, `strip_tag_prop`) hammer the fast/scalar twins
-//! with generated inputs; this suite closes the loop on the pages the
-//! paper's figures actually run over — every forum and classifieds
-//! page the fixtures serve must tokenize, entity-decode, strip, and
-//! select identically through the fast and scalar paths.
+//! The per-crate property suites (`swar_prop`, `swar_identity`) hammer
+//! the fast/scalar twins with generated inputs; this suite closes the
+//! loop on the pages the paper's figures actually run over — every
+//! forum and classifieds page the fixtures serve must tokenize and
+//! entity-decode identically through the fast and scalar paths.
 
-use msite::pipeline::soa;
+use msite_html::entities;
 use msite_html::tokenizer::Tokenizer;
-use msite_html::{entities, parse_document};
 use msite_net::{Origin, Request};
-use msite_selectors::SelectorList;
 use msite_sites::{ClassifiedsConfig, ClassifiedsSite, ForumConfig, ForumSite};
 
 /// Every HTML page body the identity checks sweep: forum entry page
@@ -67,39 +64,5 @@ fn entity_codec_twins_agree_on_fixture_pages() {
             entities::encode_text_scalar(&body),
             "entity encode twins diverged on {label}"
         );
-    }
-}
-
-#[test]
-fn strip_tag_twins_agree_on_fixture_pages() {
-    for (label, body) in fixture_pages() {
-        for tag in ["script", "style", "table", "a"] {
-            assert_eq!(
-                soa::strip_tag(&body, tag),
-                soa::strip_tag_scalar(&body, tag),
-                "strip_tag twins diverged on {label} for <{tag}>"
-            );
-        }
-    }
-}
-
-#[test]
-fn selector_twins_agree_on_fixture_pages() {
-    let lists = [
-        "div",
-        "#loginform",
-        "table td, .cat, #header a, form input",
-        "div.wrap .x, #nav a, .row .cell, nav span",
-    ];
-    for (label, body) in fixture_pages() {
-        let doc = parse_document(&body);
-        for src in lists {
-            let list = SelectorList::parse(src).expect("selector parses");
-            assert_eq!(
-                list.select(&doc, doc.root()),
-                list.select_scalar(&doc, doc.root()),
-                "selector twins diverged on {label} for `{src}`"
-            );
-        }
     }
 }
