@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn full_run_passes_its_own_shape_check() {
-        let result = run(4);
+        let result = run(8);
         check_shape(&result).unwrap();
     }
 }

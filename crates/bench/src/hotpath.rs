@@ -242,21 +242,4 @@ mod tests {
         assert_eq!(docs.len(), 3);
         assert!(docs.iter().map(|d| d.len()).sum::<usize>() > 50_000);
     }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "perf gate is only meaningful in release; enforced by `experiments -- hotpath`"
-    )]
-    fn gates_hold() {
-        let result = run(3);
-        assert!(
-            result.within_gates(),
-            "tokenizer+entity {:.2}x (gate {:.1}x), crc32 {:.2}x (gate {:.1}x)",
-            result.tokenizer_entity_speedup,
-            result.tokenizer_gate,
-            result.crc32_speedup,
-            result.crc_gate
-        );
-    }
 }

@@ -11,15 +11,13 @@
 pub mod fixtures;
 pub mod report;
 
-pub mod burst;
 pub mod capacity;
 pub mod claims;
 pub mod content;
-pub mod durability;
 pub mod fig6;
 pub mod fig7;
 pub mod hotpath;
-pub mod streaming;
+pub mod surge;
 pub mod table1;
 pub mod telemetry;
 pub mod throughput;

@@ -1,6 +1,4 @@
-//! Table formatting and JSON output for the experiments binary.
-
-use msite_support::json::ToJson;
+//! Table formatting for the experiments binary.
 
 /// Prints an aligned text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -25,11 +23,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row);
     }
-}
-
-/// Serializes a result set to pretty JSON (for EXPERIMENTS.md appendices).
-pub fn to_json<T: ToJson>(value: &T) -> String {
-    value.to_json_pretty()
 }
 
 /// Formats seconds with one decimal.

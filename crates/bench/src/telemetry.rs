@@ -1,23 +1,27 @@
-//! The PR-5 telemetry-overhead experiment: the observability layer must
-//! be cheap enough to leave on for every request.
+//! The telemetry-overhead experiment: the observability layer must be
+//! cheap enough to leave on for every request.
 //!
 //! Two measurements back that claim:
 //!
 //! 1. **Macro gate.** The throughput fixture is adapted with telemetry
-//!    fully disabled (untraced context, no registry publishing) and
-//!    fully enabled (per-request trace, per-stage spans, stage
-//!    histograms, request counters — exactly what the proxy records per
+//!    fully disabled (untraced context, no registry) and fully enabled
+//!    (per-request trace, per-stage spans, the pipeline's own counters,
+//!    stage histograms, request counters — what the proxy records per
 //!    request). The relative overhead must stay under
-//!    [`OVERHEAD_BOUND`]; the measured ratio lands in `BENCH_PR5.json`.
+//!    [`OVERHEAD_BOUND`].
 //! 2. **Micro costs.** Raw per-op cost of the two hot-path primitives —
-//!    `Counter::inc` and `Histogram::observe` — reported in ns/op so a
-//!    regression in the lock-free path is visible even when the macro
-//!    gate still passes.
+//!    `Counter::inc` and `Histogram::observe` — reported in ns/op and
+//!    gated at 1 µs each, so a lock creeping into the lock-free path
+//!    fails even when the macro gate still passes.
+//!
+//! Both are timing claims, gated in release builds only, by
+//! `experiments -- telemetry`.
 
 use crate::throughput::{sectioned_page, sectioned_spec};
 use msite::{adapt_with_report, PipelineContext};
 use msite_support::json::{obj, ToJson, Value};
 use msite_support::telemetry::{Telemetry, Trace, TraceIdSeq, LATENCY_MICROS_BOUNDS};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Sections in the fixture page (smaller than the throughput sweep's:
@@ -57,7 +61,9 @@ impl TelemetryOverheadResult {
 
 /// One adaptation of the fixture; when `telemetry` is set, records
 /// everything the proxy records per request: a trace with per-stage
-/// spans, per-stage latency histograms, and the request counters.
+/// spans, the pipeline's own counters (browser renders, tokenizer
+/// bytes, PNG encodes), per-stage latency histograms, and the request
+/// counters.
 fn run_once(
     spec: &msite::attributes::AdaptationSpec,
     page: &str,
@@ -69,8 +75,9 @@ fn run_once(
         ..PipelineContext::default()
     };
     let trace = telemetry.map(|(t, ids)| {
-        let trace = Trace::new(ids.next_id(), std::sync::Arc::clone(&t.trace_log));
+        let trace = Trace::new(ids.next_id(), Arc::clone(&t.trace_log));
         ctx.trace = Some(trace.clone());
+        ctx.metrics = Some(Arc::clone(&t.metrics));
         trace
     });
     let start = Instant::now();
@@ -200,18 +207,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn overhead_gate_holds_on_the_fixture() {
-        let result = run(3);
-        assert!(result.baseline > Duration::ZERO);
-        assert!(
-            result.within_bound(),
-            "telemetry overhead {:.1}% over the {:.0}% bound",
-            result.overhead_ratio * 100.0,
-            result.bound * 100.0
-        );
-    }
-
-    #[test]
     fn instrumented_run_populates_registry_and_trace() {
         let spec = sectioned_spec(2);
         let page = sectioned_page(2);
@@ -223,6 +218,13 @@ mod tests {
                 .metrics
                 .counter_value("msite_proxy_requests_total", &[]),
             1
+        );
+        // The pipeline counts into the registry, as in the proxy.
+        assert!(
+            telemetry
+                .metrics
+                .counter_value("msite_browser_renders_total", &[])
+                > 0
         );
         let text = telemetry.metrics.render_text();
         assert!(text.contains("msite_stage_micros_bucket{stage=\"fetch\""));

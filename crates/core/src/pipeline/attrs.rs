@@ -464,7 +464,9 @@ impl Stage for AttributeStage {
                 }
             }
         }
-        Ok(StageOutcome::serial(stats.nodes_affected - affected_before))
+        Ok(StageOutcome {
+            artifacts: stats.nodes_affected - affected_before,
+        })
     }
 }
 

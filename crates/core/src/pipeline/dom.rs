@@ -90,7 +90,7 @@ impl Stage for DomStage {
                     .render_with_viewport(source, snap.viewport_width),
             );
         }
-        Ok(StageOutcome::serial(1))
+        Ok(StageOutcome { artifacts: 1 })
     }
 }
 

@@ -64,7 +64,7 @@ pub(crate) fn run(
     if state.filter_only() {
         state.entry_html = std::mem::take(&mut state.source);
         on_unit(EmitUnit::Entry(&state.entry_html));
-        return Ok(StageOutcome::serial(1));
+        return Ok(StageOutcome { artifacts: 1 });
     }
 
     // ---- Entry page FIRST -----------------------------------------
@@ -82,7 +82,6 @@ pub(crate) fn run(
     // One task per subpage: assemble the HTML and, for pre-rendered
     // subpages, render + post-process the image (or reuse a cached
     // artifact whose content fingerprint matches).
-    let mut parallel_busy = Duration::ZERO;
     let artifacts: Vec<(Arc<SubpageArtifact>, bool)> = {
         let ctx = state.ctx;
         let renderer = &state.renderer;
@@ -99,17 +98,6 @@ pub(crate) fn run(
             }
             result
         })
-        .into_iter()
-        .map(|(artifact, busy)| {
-            parallel_busy += busy;
-            artifact
-        })
-        .collect()
-    };
-    let parallel_tasks = if state.ctx.parallelism.max(1) > 1 {
-        artifacts.len()
-    } else {
-        0
     };
     merge_artifacts(state, artifacts);
     // The snapshot joins the bundle *after* the subpage images.
@@ -119,8 +107,6 @@ pub(crate) fn run(
     }
     Ok(StageOutcome {
         artifacts: state.subpage_files.len() + 1,
-        parallel_tasks,
-        parallel_busy,
     })
 }
 

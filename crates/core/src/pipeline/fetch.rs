@@ -19,6 +19,6 @@ impl Stage for FetchStage {
             .strip_prefix('\u{feff}')
             .unwrap_or(state.raw)
             .to_string();
-        Ok(StageOutcome::serial(1))
+        Ok(StageOutcome { artifacts: 1 })
     }
 }

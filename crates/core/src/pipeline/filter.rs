@@ -33,7 +33,9 @@ impl Stage for FilterStage {
         // stage) so even filter-only adaptations carry one.
         state.source_fingerprint = msite_html::fingerprint::fnv1a(out.as_bytes());
         state.source = out;
-        Ok(StageOutcome::serial(state.spec.filters.len()))
+        Ok(StageOutcome {
+            artifacts: state.spec.filters.len(),
+        })
     }
 }
 

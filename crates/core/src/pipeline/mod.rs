@@ -303,13 +303,10 @@ fn drive(
             kind: StageKind::Render,
             elapsed: state.renderer.total().max(Duration::from_nanos(1)),
             artifacts: state.stats.images_rendered,
-            parallel_tasks: 0,
-            parallel_busy: Duration::ZERO,
         };
         record_stage_span(ctx, &stage_report, Instant::now());
         report.stages.push(stage_report);
     }
-    report.parallelism = ctx.parallelism.max(1);
     report.degradations = state.renderer.degradations();
     Ok((state.into_bundle(), report))
 }
@@ -336,8 +333,6 @@ fn run_timed(
             .saturating_sub(render_delta)
             .max(Duration::from_nanos(1)),
         artifacts: outcome.artifacts,
-        parallel_tasks: outcome.parallel_tasks,
-        parallel_busy: outcome.parallel_busy,
     };
     record_stage_span(ctx, &stage_report, start);
     report.stages.push(stage_report);
@@ -352,18 +347,11 @@ fn record_stage_span(ctx: &PipelineContext, stage: &StageReport, started: Instan
     let Some(trace) = &ctx.trace else {
         return;
     };
-    let mut fields = vec![("artifacts".to_string(), stage.artifacts.to_string())];
-    if stage.parallel_tasks > 0 {
-        fields.push((
-            "parallel_tasks".to_string(),
-            stage.parallel_tasks.to_string(),
-        ));
-    }
     trace.log().record_raw(
         trace.id(),
         &format!("stage.{}", stage.kind.name()),
         started,
         stage.elapsed,
-        fields,
+        vec![("artifacts".to_string(), stage.artifacts.to_string())],
     );
 }

@@ -65,26 +65,6 @@ pub struct StageReport {
     /// Artifacts the phase produced (documents, filters applied, nodes
     /// affected, files emitted, images rendered).
     pub artifacts: usize,
-    /// Tasks the phase fanned out across the worker crew; `0` for a
-    /// fully serial phase.
-    pub parallel_tasks: usize,
-    /// Sum of per-task wall-clock times across the fan-out —
-    /// the work the phase would have run back-to-back on one thread.
-    /// [`Duration::ZERO`] for a fully serial phase.
-    pub parallel_busy: Duration,
-}
-
-impl StageReport {
-    /// Observed parallel speedup for the phase: per-task busy time
-    /// divided by the wall-clock time the fan-out actually took
-    /// (`> 1.0` means the crew overlapped work). `None` for a serial
-    /// phase or when the clock read zero.
-    pub fn parallel_speedup(&self) -> Option<f64> {
-        if self.parallel_tasks == 0 || self.elapsed.is_zero() {
-            return None;
-        }
-        Some(self.parallel_busy.as_secs_f64() / self.elapsed.as_secs_f64())
-    }
 }
 
 /// Per-stage wall-clock timings and artifact counts for one
@@ -103,10 +83,6 @@ pub struct PipelineReport {
     /// by the proxy when it leads a shared render; zero for standalone
     /// pipeline runs.
     pub coalesced_waiters: u64,
-    /// Worker-crew width the run's fan-out stages used
-    /// ([`PipelineContext::parallelism`](super::PipelineContext),
-    /// clamped to at least 1). `1` means every stage ran serially.
-    pub parallelism: usize,
 }
 
 impl PipelineReport {
@@ -124,32 +100,11 @@ impl PipelineReport {
     pub fn total(&self) -> Duration {
         self.stages.iter().map(|s| s.elapsed).sum()
     }
-
-    /// Observed parallel speedup for a phase, when it executed a
-    /// fan-out (see [`StageReport::parallel_speedup`]).
-    pub fn parallel_speedup(&self, kind: StageKind) -> Option<f64> {
-        self.stage(kind).and_then(StageReport::parallel_speedup)
-    }
 }
 
 /// What a stage tells the driver it produced.
 pub(crate) struct StageOutcome {
     pub(crate) artifacts: usize,
-    /// Fan-out width actually used (tasks dispatched); 0 = serial.
-    pub(crate) parallel_tasks: usize,
-    /// Summed per-task durations of the fan-out.
-    pub(crate) parallel_busy: Duration,
-}
-
-impl StageOutcome {
-    /// Outcome of a stage that ran entirely on the driver thread.
-    pub(crate) fn serial(artifacts: usize) -> StageOutcome {
-        StageOutcome {
-            artifacts,
-            parallel_tasks: 0,
-            parallel_busy: Duration::ZERO,
-        }
-    }
 }
 
 /// One instrumented pipeline phase. The driver times each `run` call
@@ -164,12 +119,11 @@ pub(crate) trait Stage {
 }
 
 /// Runs `tasks` indexed tasks across the context's worker-crew width
-/// with deterministic result ordering, returning each task's result
-/// and its wall-clock duration. `parallelism <= 1` is a serial loop —
-/// the reference the parallel path must match byte-for-byte. A panic
-/// inside a task is re-raised here after all tasks finish, matching
-/// the serial path's propagation.
-pub(crate) fn fan<T, F>(ctx: &PipelineContext, tasks: usize, work: F) -> Vec<(T, Duration)>
+/// with deterministic result ordering. `parallelism <= 1` is a serial
+/// loop — the reference the parallel path must match byte-for-byte. A
+/// panic inside a task is re-raised here after all tasks finish,
+/// matching the serial path's propagation.
+pub(crate) fn fan<T, F>(ctx: &PipelineContext, tasks: usize, work: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -178,24 +132,19 @@ where
         seed: 0,
         max: Duration::ZERO,
     });
-    let results = msite_support::thread::scope_fan_out_staggered(
+    msite_support::thread::scope_fan_out_staggered(
         ctx.parallelism,
         tasks,
         stagger.seed,
         stagger.max,
-        |index| {
-            let start = std::time::Instant::now();
-            let value = work(index);
-            (value, start.elapsed())
-        },
-    );
-    results
-        .into_iter()
-        .map(|result| match result {
-            Ok(timed) => timed,
-            Err(panic) => panic!("{panic}"),
-        })
-        .collect()
+        work,
+    )
+    .into_iter()
+    .map(|result| match result {
+        Ok(value) => value,
+        Err(panic) => panic!("{panic}"),
+    })
+    .collect()
 }
 
 /// A subpage being accumulated across the attribute phase.

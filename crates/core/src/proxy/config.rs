@@ -101,26 +101,14 @@ pub struct ProxyConfig {
     /// restarted proxy warm-starts from disk instead of re-rendering
     /// its working set.
     pub persist: Option<PersistConfig>,
-    /// Maximum live sessions the session store holds; past it the
-    /// least-recently-used session (of the most occupied tenant) is
-    /// evicted, its cookie jar dropped and its directory wiped.
-    pub max_sessions: usize,
-    /// Idle timeout for sessions (sliding, refreshed on every touched
-    /// request). `None` disables expiry.
-    pub session_ttl: Option<Duration>,
-    /// Byte budget for per-session directories in the session
-    /// filesystem; exceeding it evicts least-recently-used sessions
-    /// that own bytes until back under.
-    pub fs_byte_budget: usize,
-    /// Fraction of `max_sessions` a single tenant (origin site) may
-    /// occupy, in (0, 1]. At quota a tenant evicts its *own* LRU
-    /// session, so one hot forum cannot push other tenants' jars out.
-    pub tenant_share: f64,
     /// Session store to share between proxies. `None` (the default)
-    /// gives this proxy a private [`SessionStore`] built from the
-    /// knobs above; multi-tenant embedders pass one shared store (with
-    /// its own `SessionStoreConfig`) to every tenant proxy so the
-    /// global bound and per-tenant quotas span all of them.
+    /// gives this proxy a private [`SessionStore`] with the default
+    /// [`SessionStoreConfig`](crate::session::SessionStoreConfig)
+    /// bounds and this config's `seed`. To bound sessions differently,
+    /// build a store with its own `SessionStoreConfig` and pass it
+    /// here; multi-tenant embedders pass one shared store to every
+    /// tenant proxy so the global bound and per-tenant quotas span all
+    /// of them.
     pub session_store: Option<Arc<SessionStore>>,
 }
 
@@ -137,10 +125,6 @@ impl Default for ProxyConfig {
             telemetry: None,
             subtree_cache_capacity: 512,
             persist: None,
-            max_sessions: 4096,
-            session_ttl: Some(Duration::from_secs(1800)),
-            fs_byte_budget: 64 * 1024 * 1024,
-            tenant_share: 1.0,
             session_store: None,
         }
     }

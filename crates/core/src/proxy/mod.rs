@@ -123,18 +123,15 @@ impl ProxyServer {
         });
         let cache =
             RenderCache::with_metrics(config.cache_capacity, config.stale_window, disk, registry);
-        // Session store: private (built from the config knobs) unless
-        // the embedder passed a shared multi-tenant store, which counts
-        // into the registry it was built with.
+        // Session store: private (default bounds) unless the embedder
+        // passed its own, which counts into the registry it was built
+        // with.
         let sessions = match &config.session_store {
             Some(store) => Arc::clone(store),
             None => Arc::new(SessionStore::with_metrics(
                 SessionStoreConfig {
-                    max_sessions: config.max_sessions,
-                    session_ttl: config.session_ttl,
-                    fs_byte_budget: config.fs_byte_budget,
-                    tenant_share: config.tenant_share,
                     seed: config.seed,
+                    ..SessionStoreConfig::default()
                 },
                 Arc::new(SessionFs::with_metrics(registry)),
                 Arc::clone(registry),

@@ -152,7 +152,10 @@ fn width_two_matches_width_four() {
 /// Streaming emit must be a pure re-framing of the batch run: the
 /// concatenated `Entry` chunks equal the batch entry page byte for
 /// byte, every subpage/image unit matches its batch twin, and the final
-/// bundle is identical — under every explored schedule.
+/// bundle is identical — under every explored schedule. The entry is
+/// the first unit and no subpage unit precedes it: the entry is handed
+/// over before the subpage fan-out starts, which is what puts a
+/// streamed entry's first byte ahead of the whole bundle.
 #[test]
 fn streaming_units_reassemble_to_the_batch_bundle() {
     let serial = run(1, None);
@@ -172,14 +175,34 @@ fn streaming_units_reassemble_to_the_batch_bundle() {
         let mut entry_chunks = String::new();
         let mut unit_files = Vec::new();
         let mut unit_images = Vec::new();
+        // One letter per unit in arrival order: E(ntry), S(ubpage), I(mage).
+        let mut order = String::new();
         let mut on_unit = |unit: EmitUnit| match unit {
-            EmitUnit::Entry(html) => entry_chunks.push_str(html),
-            EmitUnit::Subpage(file) => unit_files.push(file.clone()),
-            EmitUnit::Image(image) => unit_images.push(image.clone()),
+            EmitUnit::Entry(html) => {
+                order.push('E');
+                entry_chunks.push_str(html);
+            }
+            EmitUnit::Subpage(file) => {
+                order.push('S');
+                unit_files.push(file.clone());
+            }
+            EmitUnit::Image(image) => {
+                order.push('I');
+                unit_images.push(image.clone());
+            }
         };
         let (bundle, _report) = adapt_streaming(&spec, &page, &ctx, &mut on_unit)
             .expect("fixture adapts cleanly in streaming mode");
 
+        assert!(
+            order.starts_with('E'),
+            "first unit is not the entry under schedule {schedule}: {order}"
+        );
+        let last_entry = order.rfind('E').expect("an entry unit");
+        assert!(
+            !order[..last_entry].contains('S'),
+            "a subpage unit preceded the entry under schedule {schedule}: {order}"
+        );
         assert_identical(&serial, &bundle, schedule);
         assert_eq!(
             entry_chunks, serial.entry_html,

@@ -917,9 +917,14 @@ mod tests {
         assert!(busy0.join().unwrap().status.is_success());
         assert!(busy1.join().unwrap().status.is_success());
         server.shutdown();
+        // Every accepted connection was either served or shed.
         let stats = server.stats();
-        assert!(stats.served >= 2, "blocked requests served: {stats:?}");
-        assert!(stats.accepted >= stats.served + stats.rejected_overload);
+        assert_eq!(stats.served, 2, "blocked requests served: {stats:?}");
+        assert_eq!(
+            stats.accepted,
+            stats.served + stats.rejected_overload,
+            "{stats:?}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Two shapes of concurrency live here:
 //!
-//! - **Scoped fan-out** ([`fan_out`], [`scoped_map`], [`scope_fan_out`])
+//! - **Scoped fan-out** ([`fan_out`], [`scope_fan_out`])
 //!   over [`std::thread::scope`]: a fixed crew of workers that borrow
 //!   from the caller's stack and join before returning, with results in
 //!   deterministic task order. The pipeline's intra-request parallelism
@@ -93,31 +93,6 @@ where
             ));
         }
         work(index)
-    })
-}
-
-/// Maps `items` concurrently with one worker per item, borrowing the
-/// items for the duration of the scope. Result order matches item order.
-pub fn scoped_map<I, T, F>(items: &[I], work: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .iter()
-            .map(|item| {
-                scope.spawn({
-                    let work = &work;
-                    move || work(item)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scoped_map worker panicked"))
-            .collect()
     })
 }
 
@@ -321,12 +296,6 @@ struct PoolShared {
 ///   [`PoolStats::panicked`] and its worker keeps serving.
 /// - **Draining shutdown**: [`shutdown`](WorkerPool::shutdown) (or
 ///   drop) lets queued jobs finish before the workers exit.
-///
-/// For work that must borrow from the caller's stack, use
-/// [`scope_fan_out`](WorkerPool::scope_fan_out): lifetimes cannot be
-/// smuggled onto `'static` pool threads in safe Rust, so the scoped
-/// helper spawns a bounded crew of scoped threads at the pool's width
-/// instead, keeping one knob for both shapes.
 ///
 /// # Examples
 ///
@@ -535,27 +504,6 @@ impl WorkerPool {
         }
     }
 
-    /// Runs `tasks` borrowed tasks at this pool's width with
-    /// deterministic result ordering — see the module-level
-    /// [`scope_fan_out`]. Task outcomes are folded into this pool's
-    /// [`PoolStats`] (submitted/completed/panicked).
-    pub fn scope_fan_out<T, F>(&self, tasks: usize, work: F) -> Vec<Result<T, TaskPanic>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let results = scope_fan_out(self.workers(), tasks, work);
-        let panics = results.iter().filter(|r| r.is_err()).count() as u64;
-        self.shared
-            .submitted
-            .fetch_add(tasks as u64, Ordering::Relaxed);
-        self.shared
-            .completed
-            .fetch_add(tasks as u64, Ordering::Relaxed);
-        self.shared.panicked.fetch_add(panics, Ordering::Relaxed);
-        results
-    }
-
     /// Stops accepting new jobs, lets queued jobs drain, and joins the
     /// workers. Idempotent.
     pub fn shutdown(&self) {
@@ -665,12 +613,6 @@ mod tests {
     fn staggered_fan_out_zero_stagger_degenerates_to_fan_out() {
         let results = staggered_fan_out(4, 7, std::time::Duration::ZERO, |i| i * 3);
         assert_eq!(results, vec![0, 3, 6, 9]);
-    }
-
-    #[test]
-    fn scoped_map_borrows_items() {
-        let words = vec!["a".to_string(), "bb".to_string(), "ccc".to_string()];
-        assert_eq!(scoped_map(&words, |w| w.len()), vec![1, 2, 3]);
     }
 
     #[test]
@@ -914,18 +856,5 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 32);
         assert_eq!(pool.stats().completed, 32);
         pool.shutdown();
-    }
-
-    #[test]
-    fn pool_scope_fan_out_orders_and_counts() {
-        let pool = WorkerPool::with_workers(4);
-        let results: Vec<usize> = pool
-            .scope_fan_out(9, |i| i + 100)
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(results, (100..109).collect::<Vec<_>>());
-        assert_eq!(pool.stats().submitted, 9);
-        assert_eq!(pool.stats().completed, 9);
     }
 }

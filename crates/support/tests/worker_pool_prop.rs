@@ -145,27 +145,3 @@ fn pool_counters_conserve_under_mixed_panics() {
         pool.shutdown();
     });
 }
-
-#[test]
-fn pool_fan_out_matches_free_function_ordering() {
-    prop::check("pool fan-out ordering", 24, 0x0F4A_0006, |g| {
-        let tasks = g.range_usize(0, 20);
-        let workers = g.range_usize(1, 4);
-        let pool = WorkerPool::new(PoolConfig {
-            workers,
-            queue_depth: tasks.max(1),
-            name: "prop-fan".into(),
-        });
-        let via_pool: Vec<usize> = pool
-            .scope_fan_out(tasks, |i| i + 100)
-            .into_iter()
-            .map(|r| r.expect("no panics"))
-            .collect();
-        let reference: Vec<usize> = scope_fan_out(1, tasks, |i| i + 100)
-            .into_iter()
-            .map(|r| r.expect("no panics"))
-            .collect();
-        assert_eq!(via_pool, reference);
-        pool.shutdown();
-    });
-}
