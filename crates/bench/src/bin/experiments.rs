@@ -487,11 +487,6 @@ fn run_hotpath(options: &Options) -> Outcome {
                     format!("{:.2}x", result.adler32_speedup),
                     "-".into(),
                 ],
-                vec![
-                    "zlib compress".into(),
-                    format!("{:.2}x", result.zlib_speedup),
-                    "-".into(),
-                ],
             ],
         );
     }

@@ -272,20 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn tier_ladder_orders_wire_bytes() {
-        let tiers = run_tiers();
-        assert_eq!(tiers.len(), 3);
-        assert!(
-            tiers[0].total_bytes() < tiers[2].total_bytes(),
-            "2g {} vs wifi {}",
-            tiers[0].total_bytes(),
-            tiers[2].total_bytes()
-        );
-    }
-
-    #[test]
     fn full_run_passes_its_own_shape_check() {
         let result = run(8);
+        // One point per fidelity tier; the shape check orders them.
+        assert_eq!(result.tiers.len(), 3);
         check_shape(&result).unwrap();
     }
 }

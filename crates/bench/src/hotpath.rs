@@ -12,9 +12,9 @@
 //! 2. **CRC32** (slicing-by-8) must run at least [`CRC_GATE`]× faster
 //!    than the per-bit reference.
 //!
-//! The remaining rows (Adler-32, full zlib) are reported without hard
-//! gates — they are workload-shaped and noisier, but `experiments --bench-json=<path>`
-//! records the numbers so the trajectory stays visible across PRs.
+//! The remaining row (Adler-32) is reported without a hard gate — it is
+//! workload-shaped and noisier, but `experiments --bench-json=<path>`
+//! records the number so the trajectory stays visible across PRs.
 
 use crate::fixtures;
 use msite_html::entities;
@@ -49,8 +49,6 @@ pub struct HotpathResult {
     pub crc32_mb_s: f64,
     /// Adler-32 unrolled speedup (no hard gate).
     pub adler32_speedup: f64,
-    /// Full zlib compress speedup (word match extension + code table).
-    pub zlib_speedup: f64,
     /// The tokenizer gate this run was held to.
     pub tokenizer_gate: f64,
     /// The CRC gate this run was held to.
@@ -166,15 +164,12 @@ pub fn run(iterations: usize) -> HotpathResult {
     });
     let adler_fast = best_of(iterations, || png::adler32(&blob) as usize);
     let adler_scalar = best_of(iterations, || png::adler32_scalar(&blob) as usize);
-    let zlib_fast = best_of(iterations, || png::zlib_compress(&blob).len());
-    let zlib_scalar = best_of(iterations, || png::zlib_compress_scalar(&blob).len());
 
     // The sinks must agree between twins — a divergence here means an
     // identity gate has a hole.
     assert_eq!(tok_fast.1, tok_scalar.1, "tokenizer twins diverged");
     assert_eq!(crc_fast.1, crc_scalar.1, "crc twins diverged");
     assert_eq!(adler_fast.1, adler_scalar.1, "adler twins diverged");
-    assert_eq!(zlib_fast.1, zlib_scalar.1, "zlib twins diverged");
 
     let mb = |bytes: usize, d: Duration| bytes as f64 / 1e6 / d.as_secs_f64().max(1e-12);
     HotpathResult {
@@ -185,7 +180,6 @@ pub fn run(iterations: usize) -> HotpathResult {
         crc32_speedup: speedup(crc_scalar.0, crc_fast.0),
         crc32_mb_s: mb(blob.len(), crc_fast.0),
         adler32_speedup: speedup(adler_scalar.0, adler_fast.0),
-        zlib_speedup: speedup(zlib_scalar.0, zlib_fast.0),
         tokenizer_gate: TOKENIZER_GATE,
         crc_gate: CRC_GATE,
     }
@@ -224,7 +218,6 @@ impl ToJson for HotpathResult {
             ("crc32_speedup", self.crc32_speedup.to_json_value()),
             ("crc32_mb_s", self.crc32_mb_s.to_json_value()),
             ("adler32_speedup", self.adler32_speedup.to_json_value()),
-            ("zlib_speedup", self.zlib_speedup.to_json_value()),
             ("tokenizer_gate", self.tokenizer_gate.to_json_value()),
             ("crc_gate", self.crc_gate.to_json_value()),
             ("within_gates", self.within_gates().to_json_value()),

@@ -11,7 +11,7 @@
 use crate::attributes::{AdaptationSpec, Attribute, SourceFilter, Target};
 use crate::dsl;
 use msite_html::{text::visible_text, NodeId};
-use msite_render::browser::{Browser, BrowserConfig, RenderResult};
+use msite_render::browser::{Browser, BrowserConfig, LaidOutPage};
 use msite_render::Rect;
 
 /// One selectable page object in the tool's live view.
@@ -30,7 +30,7 @@ pub struct SelectableObject {
 /// The loaded page model backing the visual tool.
 pub struct PageModel {
     url: String,
-    render: RenderResult,
+    render: LaidOutPage,
 }
 
 impl PageModel {
@@ -43,7 +43,8 @@ impl PageModel {
         });
         PageModel {
             url: url.to_string(),
-            render: browser.render_page(html, &[]),
+            // The tool needs geometry only; the page is never rastered.
+            render: browser.lay_out(html, &[]),
         }
     }
 

@@ -17,10 +17,10 @@
 
 use msite_html::{text::visible_text, tidy};
 use msite_render::browser::{Browser, BrowserConfig};
-use msite_render::png;
+use msite_render::image::PostProcess;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A rendered artifact produced by an engine.
 #[derive(Debug, Clone)]
@@ -137,13 +137,12 @@ impl RenderEngine for ImageEngine {
 
     fn render(&self, html: &str) -> RenderedArtifact {
         let browser = Browser::launch(self.config.clone());
-        let result = browser.render_page(html, &[]);
-        let started = Instant::now();
-        let bytes = png::encode(&result.canvas);
+        // The default post-process is a plain PNG of the whole page.
+        let image = browser.lay_out(html, &[]).encode(&PostProcess::default());
         RenderedArtifact {
             content_type: "image/png".to_string(),
-            bytes,
-            png_encode: Some(started.elapsed()),
+            bytes: image.encoded,
+            png_encode: Some(image.encode_time),
         }
     }
 }

@@ -166,9 +166,9 @@ impl Stage for AttributeStage {
                             *obj_counter += 1;
                             let name = format!("obj{obj_counter}.png");
                             let object_html = standalone_object_page(doc, node);
-                            let rendered = renderer.render(&object_html);
-                            let processed = renderer.process(
-                                &rendered.canvas,
+                            let page = renderer.render(&object_html);
+                            let image = renderer.encode(
+                                &page,
                                 &PostProcess {
                                     scale: Some(*scale),
                                     format: ImageFormat::JpegClass { quality: *quality },
@@ -179,17 +179,14 @@ impl Stage for AttributeStage {
                                 "<img class=\"msite-prerendered\" src=\"{}/img/{}\" width=\"{}\" height=\"{}\" alt=\"pre-rendered object\">",
                                 ctx.base,
                                 name,
-                                processed.canvas.width(),
-                                processed.canvas.height()
+                                image.width,
+                                image.height
                             );
-                            images.push(GeneratedImage {
+                            images.push(GeneratedImage::encoded(
                                 name,
-                                wire_size: processed.wire_bytes(),
-                                width: processed.canvas.width(),
-                                height: processed.canvas.height(),
-                                bytes: processed.encoded,
-                                cache_ttl: cache_ttl_secs.map(Duration::from_secs),
-                            });
+                                image,
+                                cache_ttl_secs.map(Duration::from_secs),
+                            ));
                             replace_with_html(doc, node, &img_tag);
                             stats.nodes_affected += 1;
                             stats.images_rendered += 1;
@@ -243,11 +240,11 @@ impl Stage for AttributeStage {
                                      background:#202028;color:#ffffff;border:2px solid #667\">\
                                      <p style=\"color:#ffffff\">&#9654; {label}</p></div></body></html>"
                                 );
-                                let rendered = renderer.render(&page);
-                                let processed = renderer.process(
-                                    &rendered.canvas,
+                                let page = renderer.render(&page);
+                                let image = renderer.encode(
+                                    &page,
                                     &PostProcess {
-                                        // The canvas spans the viewport; cut
+                                        // The page spans the viewport; cut
                                         // out the media box before scaling.
                                         crop: Some(Rect::new(
                                             0.0,
@@ -264,18 +261,15 @@ impl Stage for AttributeStage {
                                      width=\"{}\" height=\"{}\" alt=\"{}\">",
                                     ctx.base,
                                     name,
-                                    processed.canvas.width(),
-                                    processed.canvas.height(),
+                                    image.width,
+                                    image.height,
                                     msite_html::entities::encode_attr(&label)
                                 );
-                                images.push(GeneratedImage {
+                                images.push(GeneratedImage::encoded(
                                     name,
-                                    wire_size: processed.wire_bytes(),
-                                    width: processed.canvas.width(),
-                                    height: processed.canvas.height(),
-                                    bytes: processed.encoded,
-                                    cache_ttl: Some(Duration::from_secs(3_600)),
-                                });
+                                    image,
+                                    Some(Duration::from_secs(3_600)),
+                                ));
                                 replace_with_html(doc, media_node, &img_tag);
                                 stats.nodes_affected += 1;
                                 stats.images_rendered += 1;
@@ -425,9 +419,9 @@ impl Stage for AttributeStage {
                                      background:#48586a;color:#ffffff\">\
                                      <p style=\"color:#ffffff\">{label}</p></div></body></html>"
                                 );
-                                let rendered = renderer.render(&page);
-                                let processed = renderer.process(
-                                    &rendered.canvas,
+                                let page = renderer.render(&page);
+                                let image = renderer.encode(
+                                    &page,
                                     &PostProcess {
                                         crop: Some(Rect::new(
                                             0.0,
@@ -443,18 +437,15 @@ impl Stage for AttributeStage {
                                      width=\"{}\" height=\"{}\" alt=\"{}\">",
                                     ctx.base,
                                     name,
-                                    processed.canvas.width(),
-                                    processed.canvas.height(),
+                                    image.width,
+                                    image.height,
                                     msite_html::entities::encode_attr(&label)
                                 );
-                                images.push(GeneratedImage {
+                                images.push(GeneratedImage::encoded(
                                     name,
-                                    wire_size: processed.wire_bytes(),
-                                    width: processed.canvas.width(),
-                                    height: processed.canvas.height(),
-                                    bytes: processed.encoded,
-                                    cache_ttl: Some(Duration::from_secs(3_600)),
-                                });
+                                    image,
+                                    Some(Duration::from_secs(3_600)),
+                                ));
                                 replace_with_html(doc, img, &img_tag);
                                 stats.nodes_affected += 1;
                                 stats.images_rendered += 1;

@@ -115,13 +115,11 @@ pub(crate) fn run(
 /// image.
 fn build_entry(state: &mut PipelineState<'_>) -> (String, Option<GeneratedImage>) {
     let doc = state.doc.as_mut().expect("dom stage ran before emit");
-    // The snapshot render holds the run's largest allocation, a
-    // full-page canvas. Nothing after the entry page needs it, so it is
-    // freed here: before the subpage work, and before a sink copies
-    // the snapshot into a long-lived store above a dead canvas.
-    if let (Some(snap), Some(render)) = (&state.spec.snapshot, state.snapshot_render.take()) {
-        let processed = state.renderer.process(
-            &render.canvas,
+    // The snapshot's laid-out page is dropped here: nothing after the
+    // entry page needs it.
+    if let (Some(snap), Some(page)) = (&state.spec.snapshot, state.snapshot_render.take()) {
+        let image = state.renderer.encode(
+            &page,
             &PostProcess {
                 scale: Some(snap.scale),
                 format: ImageFormat::JpegClass {
@@ -131,34 +129,31 @@ fn build_entry(state: &mut PipelineState<'_>) -> (String, Option<GeneratedImage>
             },
         );
         if state.searchable {
-            state.search_index = Some(SearchIndex::build(&render.layout, snap.scale));
+            state.search_index = Some(SearchIndex::build(&page.layout, snap.scale));
         }
         // Imagemap geometry: one id lookup and rect scale per subpage,
         // in key order.
         let areas: Vec<crate::snapshot::MapArea> = state
             .subpages
             .values()
-            .map(|builder| subpage_area(builder, &render, snap.scale, &state.ctx.base))
+            .map(|builder| subpage_area(builder, &page, snap.scale, &state.ctx.base))
             .collect();
         let entry = crate::snapshot::build_entry_page(&crate::snapshot::EntryPageInput {
             base: state.ctx.base.clone(),
             title: page_title(doc).unwrap_or_else(|| state.spec.page_id.clone()),
             snapshot_name: "snapshot.png".to_string(),
-            snapshot_width: processed.canvas.width(),
-            snapshot_height: processed.canvas.height(),
+            snapshot_width: image.width,
+            snapshot_height: image.height,
             scale: snap.scale,
             areas,
             has_ajax: !state.registry.actions.is_empty() || state.subpages.values().any(|s| s.ajax),
             search_js: state.search_index.as_ref().map(|s| s.to_javascript()),
         });
-        let image = GeneratedImage {
-            name: "snapshot.png".to_string(),
-            wire_size: processed.wire_bytes(),
-            width: processed.canvas.width(),
-            height: processed.canvas.height(),
-            bytes: processed.encoded,
-            cache_ttl: Some(Duration::from_secs(snap.cache_ttl_secs)),
-        };
+        let image = GeneratedImage::encoded(
+            "snapshot.png".to_string(),
+            image,
+            Some(Duration::from_secs(snap.cache_ttl_secs)),
+        );
         (entry, Some(image))
     } else {
         // Non-snapshot mode: the adapted document itself, with the AJAX
@@ -283,9 +278,9 @@ fn build_subpage(
             image: None,
         };
     }
-    let rendered = renderer.render(&html);
-    let processed = renderer.process(
-        &rendered.canvas,
+    let page = renderer.render(&html);
+    let image = renderer.encode(
+        &page,
         &PostProcess {
             format: ImageFormat::JpegClass { quality: 50 },
             ..Default::default()
@@ -295,26 +290,14 @@ fn build_subpage(
     let page = format!(
         "<!DOCTYPE html><html><head><title>{}</title></head><body style=\"margin:0\">\
          <img src=\"{}/img/{}\" width=\"{}\" height=\"{}\" alt=\"{}\"></body></html>",
-        builder.title,
-        ctx.base,
-        img_name,
-        processed.canvas.width(),
-        processed.canvas.height(),
-        builder.title
+        builder.title, ctx.base, img_name, image.width, image.height, builder.title
     );
     SubpageArtifact {
         file: GeneratedFile {
             name: format!("{}.html", builder.id),
             html: page,
         },
-        image: Some(GeneratedImage {
-            name: img_name,
-            wire_size: processed.wire_bytes(),
-            width: processed.canvas.width(),
-            height: processed.canvas.height(),
-            bytes: processed.encoded,
-            cache_ttl: None,
-        }),
+        image: Some(GeneratedImage::encoded(img_name, image, None)),
     }
 }
 
@@ -341,11 +324,11 @@ fn assemble_subpage(builder: &SubpageBuilder, ctx: &PipelineContext) -> String {
 }
 
 /// Computes the clickable image-map area for one subpage target by
-/// finding the same selector in the snapshot render and translating its
+/// finding the same selector in the snapshot layout and translating its
 /// coordinates by the snapshot scale.
 fn subpage_area(
     builder: &SubpageBuilder,
-    render: &msite_render::RenderResult,
+    render: &msite_render::LaidOutPage,
     scale: f32,
     base: &str,
 ) -> crate::snapshot::MapArea {

@@ -173,7 +173,10 @@ pub struct PipelineContext {
     pub schedule_stagger: Option<ScheduleStagger>,
     /// The request trace this run belongs to. When set, every executed
     /// stage (and the render pseudo-stage) records a timed
-    /// `stage.<name>` span with artifact counts into the trace's log.
+    /// `stage.<name>` span with artifact counts into the trace's log,
+    /// and every encoded image records one span per image layer
+    /// (`render.layout`, `render.raster`, `image.scale`,
+    /// `image.encode`).
     pub trace: Option<Trace>,
     /// The fingerprint-keyed subtree tier backing incremental
     /// re-adaptation. When set, the emit stage looks every subpage's
@@ -183,9 +186,10 @@ pub struct PipelineContext {
     /// everything — the behavior standalone pipeline runs keep.
     pub subtree_cache: Option<std::sync::Arc<crate::cache::SubtreeCache>>,
     /// Registry the run counts its browser renders, the bytes its stages
-    /// tokenize and its PNG encodes into as they happen
-    /// (`msite_browser_renders_total`, `msite_tokenizer_bytes_total`,
-    /// `msite_png_encodes_total`, `msite_png_encode_micros`). `None`
+    /// tokenize, its PNG encodes and its image layers' times into as
+    /// they happen (`msite_browser_renders_total`,
+    /// `msite_tokenizer_bytes_total`, `msite_png_encodes_total`,
+    /// `msite_png_encode_micros`, `msite_layer_micros{layer}`). `None`
     /// counts nothing.
     pub metrics: Option<std::sync::Arc<msite_support::telemetry::MetricsRegistry>>,
     /// Resolved bandwidth class for `fidelity-tier auto` attributes

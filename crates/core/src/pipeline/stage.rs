@@ -10,7 +10,7 @@ use crate::ajax::AjaxRegistry;
 use crate::attributes::AdaptationSpec;
 use crate::search::SearchIndex;
 use msite_html::Document;
-use msite_render::RenderResult;
+use msite_render::LaidOutPage;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
@@ -223,7 +223,7 @@ pub(crate) struct PipelineState<'a> {
     pub(crate) wants_cookie_clear: bool,
     pub(crate) searchable: bool,
     pub(crate) renderer: Renderer,
-    pub(crate) snapshot_render: Option<RenderResult>,
+    pub(crate) snapshot_render: Option<LaidOutPage>,
     pub(crate) subpage_files: Vec<GeneratedFile>,
     pub(crate) entry_html: String,
     pub(crate) search_index: Option<SearchIndex>,
@@ -251,7 +251,11 @@ impl<'a> PipelineState<'a> {
             stats: PipelineStats::default(),
             wants_cookie_clear: false,
             searchable: false,
-            renderer: Renderer::new(ctx.browser_config.clone(), ctx.metrics.clone()),
+            renderer: Renderer::new(
+                ctx.browser_config.clone(),
+                ctx.metrics.clone(),
+                ctx.trace.clone(),
+            ),
             snapshot_render: None,
             subpage_files: Vec::new(),
             entry_html: String::new(),

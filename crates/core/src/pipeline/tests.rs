@@ -5,6 +5,8 @@ use crate::attributes::{
     AdaptationSpec, Attribute, DockObject, Position, Rule, SnapshotSpec, SourceFilter, Target,
 };
 use msite_render::browser::BrowserConfig;
+use msite_support::telemetry::MetricsRegistry;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn ctx() -> PipelineContext {
@@ -382,12 +384,30 @@ fn partial_css_prerender_emits_background_plus_text() {
         Target::Css("#content".into()),
         vec![Attribute::PartialCssPrerender { scale: 1.0 }],
     );
-    let bundle = adapt(&spec, PAGE, &ctx()).unwrap();
+    let metrics = Arc::new(MetricsRegistry::new());
+    let ctx = PipelineContext {
+        metrics: Some(Arc::clone(&metrics)),
+        ..ctx()
+    };
+    let bundle = adapt(&spec, PAGE, &ctx).unwrap();
     assert_eq!(bundle.images.len(), 1);
     assert!(bundle.entry_html.contains("msite-partial"));
     assert!(bundle.entry_html.contains("position:absolute"));
     // Text is drawn by the client, so it is present as spans.
     assert!(bundle.entry_html.contains(">hello<") || bundle.entry_html.contains(">Hello<"));
+    // Two browser renders: the blanked object, rastered into the
+    // background, and the original, only laid out for word positions.
+    assert_eq!(bundle.stats.browser_renders, 2);
+    let layer = |name: &str| {
+        metrics
+            .histogram(
+                "msite_layer_micros",
+                &[("layer", name)],
+                msite_support::telemetry::LATENCY_MICROS_BOUNDS,
+            )
+            .count()
+    };
+    assert_eq!((layer("render.layout"), layer("render.raster")), (2, 1));
 }
 
 #[test]

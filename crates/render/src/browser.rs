@@ -2,10 +2,11 @@
 //! embedded WebKit instance of the paper.
 //!
 //! A [`Browser`] bundles the whole pipeline (tidy → parse → cascade →
-//! layout → paint) behind one call, and models the *cost* of bringing up
-//! a full browser process, which is the quantity Figure 7 turns on: the
-//! Highlight baseline pays [`Browser::launch`] per request, the m.Site
-//! proxy pays it only when a graphical render is unavoidable.
+//! layout → display list, then raster) behind one call, and models the
+//! *cost* of bringing up a full browser process, which is the quantity
+//! Figure 7 turns on: the Highlight baseline pays [`Browser::launch`]
+//! per request, the m.Site proxy pays it only when a graphical render
+//! is unavoidable.
 //!
 //! The launch cost is real CPU spin (not sleep), so throughput
 //! experiments contend for cores exactly like real browser instances
@@ -14,8 +15,9 @@
 
 use crate::canvas::Canvas;
 use crate::css::{compute_styles, Stylesheet};
+use crate::image::{self, EncodedImage, PostProcess};
 use crate::layout::{layout_document, LayoutTree};
-use crate::paint::paint;
+use crate::paint::DisplayList;
 use msite_html::{tidy, Document};
 use std::time::{Duration, Instant};
 
@@ -72,6 +74,45 @@ pub struct RenderResult {
     pub canvas: Canvas,
 }
 
+/// A page laid out and flattened into its display list, not yet
+/// rastered: [`LaidOutPage::encode`] rasters it band by band straight
+/// into the image post-processor, so no page-sized canvas is ever held.
+#[derive(Debug, Clone)]
+pub struct LaidOutPage {
+    /// The tidied document that was laid out (for geometry queries).
+    pub doc: Document,
+    /// Positioned boxes; use [`LayoutTree::rect_of`] for image maps.
+    pub layout: LayoutTree,
+    /// The page's paint operations, its height capped.
+    pub display: DisplayList,
+}
+
+impl LaidOutPage {
+    /// Rasters, post-processes and PNG-encodes the page in bands: the
+    /// bytes equal [`image::process`] of the whole rastered page, while
+    /// no buffer larger than one band of page rows is held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `crop` lies entirely outside the page.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use msite_render::browser::{Browser, BrowserConfig};
+    /// use msite_render::image::{process, PostProcess};
+    ///
+    /// let browser = Browser::launch(BrowserConfig::default());
+    /// let page = browser.lay_out("<body><h1>Forum</h1></body>", &[]);
+    /// let spec = PostProcess { scale: Some(0.5), ..Default::default() };
+    /// let banded = page.encode(&spec);
+    /// assert_eq!(banded.encoded, process(&page.display.raster(), &spec).encoded);
+    /// ```
+    pub fn encode(&self, spec: &PostProcess) -> EncodedImage {
+        image::encode_page(&self.display, spec)
+    }
+}
+
 /// A server-side browser instance.
 ///
 /// # Examples
@@ -120,9 +161,21 @@ impl Browser {
             .load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Full pipeline: tidy, parse, cascade (inline `<style>` blocks plus
-    /// `extra_css` external sheets), layout and paint.
+    /// Full pipeline: [`Browser::lay_out`], then raster the whole page
+    /// onto one canvas.
     pub fn render_page(&self, html: &str, extra_css: &[&str]) -> RenderResult {
+        let page = self.lay_out(html, extra_css);
+        RenderResult {
+            canvas: page.display.raster(),
+            doc: page.doc,
+            layout: page.layout,
+        }
+    }
+
+    /// Tidy, parse, cascade (inline `<style>` blocks plus `extra_css`
+    /// external sheets), layout and flatten to a display list; counts as
+    /// a rendered page.
+    pub fn lay_out(&self, html: &str, extra_css: &[&str]) -> LaidOutPage {
         let doc = tidy::tidy(html);
         let mut css_source = String::new();
         for style_el in doc.elements_by_tag(doc.root(), "style") {
@@ -136,13 +189,13 @@ impl Browser {
         let sheet = Stylesheet::parse(&css_source);
         let styles = compute_styles(&doc, &sheet);
         let layout = layout_document(&doc, &styles, self.config.viewport_width as f32);
-        let canvas = paint(&layout, self.config.max_page_height);
+        let display = DisplayList::build(&layout, self.config.max_page_height);
         self.pages_rendered
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        RenderResult {
+        LaidOutPage {
             doc,
             layout,
-            canvas,
+            display,
         }
     }
 }
